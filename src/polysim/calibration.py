@@ -2,15 +2,14 @@
 
 Calibration times small synthetic workloads on the current machine and
 fits one coefficient per (backend, gate class, size) grid point, plus a
-per-backend linear shot model and a thread-scaling table.  Every sample
-is the median of several repetitions, and each repetition loops the
-operation until it runs long enough for the wall clock to resolve it.
+per-backend linear shot model.  Every sample is the median of several
+repetitions, and each repetition loops the operation until it runs long
+enough for the wall clock to resolve it.
 """
 from __future__ import annotations
 
 import itertools
 import json
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .interpolate import MonotoneCurve, TensorSurface
 from .mps import MpsState
 from .stabilizer import Tableau
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 _COEF_FLOOR = 1e-12
 
 
@@ -42,7 +41,7 @@ class CalibrationConfig:
     shot_counts: tuple[int, ...] = (1, 10, 100, 1000)
     repetitions: int = 5
     min_sample_seconds: float = 5e-4
-    max_threads: int | None = None
+    max_threads: int | None = None  # accepted for older callers; has no effect
 
 
 def _median_seconds(fn, reps: int, min_seconds: float) -> float:
@@ -78,7 +77,6 @@ class CalibrationModel:
     stab_grid: tuple[int, ...]
     stab_curves: dict[str, tuple[float, ...]]
     shot_coeffs: dict[str, tuple[float, float]]
-    alpha: tuple[float, ...]
     _sv: dict[str, MonotoneCurve] = field(init=False, repr=False)
     _mps: dict[str, TensorSurface] = field(init=False, repr=False)
     _stab: dict[str, MonotoneCurve] = field(init=False, repr=False)
@@ -124,8 +122,6 @@ class CalibrationModel:
         for backend in ("sv", "mps", "stab"):
             if backend not in self.shot_coeffs:
                 raise CalibrationError(f"shot coefficients missing backend {backend!r}")
-        if len(self.alpha) == 0 or self.alpha[0] != 1.0:
-            raise CalibrationError("thread scaling must start at alpha(1) = 1.0")
 
     def sv_coef(self, klass: str, n: int) -> float:
         return self._sv[klass](n)
@@ -135,13 +131,6 @@ class CalibrationModel:
 
     def stab_coef(self, klass: str, n: int) -> float:
         return self._stab[klass](n)
-
-    def alpha_at(self, threads: int) -> float:
-        """Speedup for `threads` workers; entry i covers 2**i threads."""
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        idx = min(threads.bit_length() - 1, len(self.alpha) - 1)
-        return self.alpha[idx]
 
     def to_dict(self) -> dict:
         return {
@@ -165,7 +154,6 @@ class CalibrationModel:
             "shots": {
                 k: {"c1": c1, "c2": c2} for k, (c1, c2) in self.shot_coeffs.items()
             },
-            "alpha": list(self.alpha),
         }
 
     @classmethod
@@ -187,7 +175,6 @@ class CalibrationModel:
                 shot_coeffs={
                     k: (v["c1"], v["c2"]) for k, v in raw["shots"].items()
                 },
-                alpha=tuple(raw["alpha"]),
             )
         except (KeyError, TypeError) as exc:
             raise CalibrationError(f"malformed calibration data: {exc}") from exc
@@ -303,20 +290,6 @@ def _terminal_workload() -> Circuit:
     return c
 
 
-def _replay_workload() -> Circuit:
-    """Circuit with a gate after a measurement, forcing per-shot replay."""
-    c = Circuit(3, 3)
-    c.gate("h", 0)
-    c.gate("cx", 0, 1)
-    c.gate("cx", 1, 2)
-    c.measure(0, 0)
-    c.gate("h", 0)
-    c.measure(0, 0)
-    c.measure(1, 1)
-    c.measure(2, 2)
-    return c
-
-
 def fit_shot_model(shot_counts, seconds) -> tuple[float, float]:
     """Least-squares (c1, c2) for seconds ~ c1 + c2 * shots."""
     shot_counts = np.asarray(shot_counts, dtype=float)
@@ -345,32 +318,6 @@ def _fit_shot_coeffs(
         medians.append(t)
     c1, c2 = fit_shot_model(shot_counts, medians)
     return _positive(c1), _positive(c2)
-
-
-def _alpha_table(reps: int, min_seconds: float, max_threads: int | None) -> tuple[float, ...]:
-    from .dispatch import run_circuit
-
-    limit = max_threads if max_threads is not None else (os.cpu_count() or 1)
-    thread_counts = []
-    t = 1
-    while t <= limit:
-        thread_counts.append(t)
-        t *= 2
-    if thread_counts == [1]:
-        return (1.0,)
-    c = _replay_workload()
-    base = _median_seconds(
-        lambda: run_circuit(c, "sv", 400, seed=7, workers=1), reps, min_seconds
-    )
-    alpha = [1.0]
-    for workers in thread_counts[1:]:
-        scaled = _median_seconds(
-            lambda w=workers: run_circuit(c, "sv", 400, seed=7, workers=w),
-            reps,
-            min_seconds,
-        )
-        alpha.append(_positive(base / scaled))
-    return tuple(alpha)
 
 
 def calibrate(config: CalibrationConfig | None = None, seed: int = 0) -> CalibrationModel:
@@ -406,7 +353,6 @@ def calibrate(config: CalibrationConfig | None = None, seed: int = 0) -> Calibra
         backend: _fit_shot_coeffs(backend, cfg.shot_counts, reps, floor)
         for backend in ("sv", "mps", "stab")
     }
-    alpha = _alpha_table(reps, floor, cfg.max_threads)
 
     return CalibrationModel(
         version=MODEL_VERSION,
@@ -423,5 +369,4 @@ def calibrate(config: CalibrationConfig | None = None, seed: int = 0) -> Calibra
         stab_grid=tuple(cfg.stab_grid),
         stab_curves={"gate": tuple(stab_gate), "measure": tuple(stab_meas)},
         shot_coeffs=shot_coeffs,
-        alpha=alpha,
     )

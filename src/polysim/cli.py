@@ -91,7 +91,7 @@ def _cmd_run(args) -> int:
     backend = args.backend
     if backend == "auto":
         model = CalibrationModel.load(_calib_path(args))
-        report = select_backend(c, model, args.shots, workers=args.workers)
+        report = select_backend(c, model, args.shots)
         backend = report.chosen
         payload["predicted_seconds"] = report.estimates[backend]
         payload["estimates"] = report.estimates
@@ -118,9 +118,7 @@ def _cmd_run(args) -> int:
         payload["fidelity"] = loop.fidelity
     else:
         t0 = time.perf_counter()
-        result = run_circuit(
-            c, backend, args.shots, args.seed, chi=args.chi, workers=args.workers
-        )
+        result = run_circuit(c, backend, args.shots, args.seed, chi=args.chi)
         wall = time.perf_counter() - t0
         if backend == "mps":
             payload["chi"] = args.chi
@@ -135,7 +133,7 @@ def _cmd_run(args) -> int:
 def _cmd_predict(args) -> int:
     c = _load_circuit(args.input)
     model = CalibrationModel.load(_calib_path(args))
-    report = select_backend(c, model, args.shots, workers=args.workers)
+    report = select_backend(c, model, args.shots)
     f = report.features
     payload = {
         "version": OUTPUT_VERSION,
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--fidelity-threshold", type=float, default=0.95)
     run_p.add_argument("--layout", default=None, help="vQPU layout JSON for pblock")
     run_p.add_argument("--calib", default=None, help="calibration JSON for auto")
-    run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--output", default=None, help="write result JSON here")
     run_p.set_defaults(func=_cmd_run)
 
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     pred_p.add_argument("--input", required=True)
     pred_p.add_argument("--shots", type=int, default=1000)
     pred_p.add_argument("--calib", default=None)
-    pred_p.add_argument("--workers", type=int, default=1)
     pred_p.add_argument("--output", default=None)
     pred_p.set_defaults(func=_cmd_predict)
 

@@ -14,15 +14,14 @@ def run_circuit(
     shots: int,
     seed: int,
     chi: int | None = None,
-    workers: int = 1,
     qubit_cap: int = statevector.DEFAULT_QUBIT_CAP,
 ) -> RunResult:
     if backend == "sv":
-        return statevector.run(c, shots, seed, workers=workers, qubit_cap=qubit_cap)
+        return statevector.run(c, shots, seed, qubit_cap=qubit_cap)
     if backend == "mps":
         if chi is None:
             raise BackendError("mps backend needs a bond-dimension cap (chi)")
-        return mps.run(c, shots, seed, chi_max=chi, workers=workers)
+        return mps.run(c, shots, seed, chi_max=chi)
     if backend == "stab":
         return stabilizer.run(c, shots, seed)
     raise BackendError(f"unknown backend {backend!r} (expected one of {BACKENDS})")

@@ -6,26 +6,20 @@ back with an SVD truncated to chi_max; singular values below 1e-14 of the
 largest are dropped as numerically zero and the kept spectrum is renormalized,
 with the discarded weight accumulated on the state.  Gates on non-adjacent
 qubits ride swap chains, each swap itself a truncated two-site update.
+``MpsState`` is the state the shot engine (``polysim.engine``) walks; terminal
+draws sweep the sites left to right with binomial splits.
 """
 from __future__ import annotations
 
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import gates
 from .circuit import ONE_QUBIT_GATES, Circuit
-from .features import extract_features
-from .result import (
-    BackendError,
-    NoMeasurementsError,
-    RunResult,
-    clbit_order,
-    measurement_map,
-    pack_bitstring,
-)
+from .engine import run_shots
+from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
+from .result import BackendError, RunResult
 
 REL_CUTOFF = 1e-14
 DEFAULT_CHI_CAP = 256
@@ -144,7 +138,7 @@ class MpsState:
         perm = [0, 2, 1, 3]  # swap which qubit is the low bit
         return m4[np.ix_(perm, perm)]
 
-    def apply_gate(self, inst) -> None:
+    def apply(self, inst) -> None:
         if inst.kind == "barrier":
             return
         if inst.kind in ONE_QUBIT_GATES:
@@ -165,22 +159,23 @@ class MpsState:
 
     # --- measurement -----------------------------------------------------------
 
-    def measure(self, q: int, rng: np.random.Generator) -> int:
+    def p1(self, q: int) -> float:
         self.move_center(q)
         t = self.tensors[q]
         w0 = float(np.linalg.norm(t[:, 0, :]) ** 2)
         w1 = float(np.linalg.norm(t[:, 1, :]) ** 2)
-        p1 = w1 / (w0 + w1)
-        outcome = 1 if rng.random() < p1 else 0
-        p = p1 if outcome else 1.0 - p1
-        projected = t.copy()
-        projected[:, 1 - outcome, :] = 0.0
-        self.tensors[q] = projected / math.sqrt(p * (w0 + w1))
-        return outcome
+        return w1 / (w0 + w1)
 
-    def reset(self, q: int, rng: np.random.Generator) -> None:
-        if self.measure(q, rng) == 1:
-            self.apply_1q(q, gates.single_qubit_matrix("x"))
+    def project(self, q: int, bit: int) -> None:
+        self.move_center(q)
+        projected = self.tensors[q].copy()
+        projected[:, 1 - bit, :] = 0.0
+        self.tensors[q] = projected / np.linalg.norm(projected)
+
+    def measure(self, q: int, rng: np.random.Generator) -> int:
+        bit = 1 if rng.random() < self.p1(q) else 0
+        self.project(q, bit)
+        return bit
 
     def sample_terminal(
         self, shots: int, rng: np.random.Generator
@@ -213,6 +208,18 @@ class MpsState:
             branches = grown
         return [(code, count) for _, count, code in branches]
 
+    def sample(self, measures, count: int, rng: np.random.Generator) -> dict[str, int]:
+        """Counts of the measured clbits over ``count`` terminal draws."""
+        latest_source: dict[int, int] = {}
+        for qubit, clbit in measures:
+            latest_source[clbit] = qubit
+        sources = [latest_source[cl] for cl in sorted(latest_source, reverse=True)]
+        counts: dict[str, int] = {}
+        for code, k in self.sample_terminal(count, rng):
+            key = "".join("1" if code >> q & 1 else "0" for q in sources)
+            counts[key] = counts.get(key, 0) + k
+        return counts
+
     # --- diagnostics -----------------------------------------------------------
 
     def to_statevector(self) -> np.ndarray:
@@ -228,86 +235,27 @@ def _run_unitaries(c: Circuit, chi_max: int, upto: int | None = None) -> MpsStat
     stop = len(c.instructions) if upto is None else upto
     for inst in c.instructions[:stop]:
         if inst.is_unitary:
-            state.apply_gate(inst)
+            state.apply(inst)
     return state
 
 
-def _replay_shots(
-    prefix: MpsState, suffix: list, n_shots: int, rng: np.random.Generator
-) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    clbits = clbit_order([(i.qubits[0], i.clbit) for i in suffix if i.kind == "measure"])
-    for _ in range(n_shots):
-        state = prefix.copy()
-        values: dict[int, int] = {}
-        for inst in suffix:
-            if inst.kind == "measure":
-                values[inst.clbit] = state.measure(inst.qubits[0], rng)
-            elif inst.kind == "reset":
-                state.reset(inst.qubits[0], rng)
-            else:
-                state.apply_gate(inst)
-        key = pack_bitstring(values, clbits)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def run(c: Circuit, shots: int, seed: int, chi_max: int) -> RunResult:
+    """Execute on an MPS with the given bond-dimension cap.
 
-
-def run(
-    c: Circuit,
-    shots: int,
-    seed: int,
-    chi_max: int,
-    workers: int = 1,
-) -> RunResult:
-    """Execute on an MPS with the given bond-dimension cap."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    measures = measurement_map(c)
-    if not measures:
-        raise NoMeasurementsError("circuit has no measurements")
+    The shot engine (``polysim.engine``) walks the MPS once per distinct
+    history of the mid-circuit measurements and resets, copying it only
+    where shots split; terminal shots come from ``sample_terminal``.  The
+    reported truncation error is the largest over the walked paths.
+    """
     start = time.perf_counter()
-    features = extract_features(c)
-
-    if features.terminal_measurement_only:
-        state = _run_unitaries(c, chi_max)
-        rng = np.random.default_rng(seed)
-        latest_source: dict[int, int] = {}
-        for qubit, clbit in measures:
-            latest_source[clbit] = qubit
-        clbits = sorted(latest_source)
-        counts: dict[str, int] = {}
-        for code, count in state.sample_terminal(shots, rng):
-            values = {cl: (code >> latest_source[cl]) & 1 for cl in clbits}
-            key = pack_bitstring(values, clbits)
-            counts[key] = counts.get(key, 0) + count
-        trunc = state.truncation_error
-    else:
-        split = next(
-            i for i, inst in enumerate(c.instructions) if inst.kind in ("measure", "reset")
-        )
-        prefix = _run_unitaries(c, chi_max, upto=split)
-        suffix = [i for i in c.instructions[split:] if i.kind != "barrier"]
-        workers = max(1, min(workers, shots))
-        if workers == 1:
-            counts = _replay_shots(prefix, suffix, shots, np.random.default_rng(seed))
-        else:
-            sizes = [
-                shots // workers + (1 if w < shots % workers else 0)
-                for w in range(workers)
-            ]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _replay_shots, prefix, suffix, sizes[w], np.random.default_rng(seed + w)
-                    )
-                    for w in range(workers)
-                ]
-                counts = {}
-                for fut in futures:
-                    for key, value in fut.result().items():
-                        counts[key] = counts.get(key, 0) + value
-        trunc = prefix.truncation_error
-
+    errors: list[float] = []
+    counts = run_shots(
+        MpsState(c.n_qubits, chi_max),
+        c.instructions,
+        shots,
+        np.random.default_rng(seed),
+        on_leaf=lambda state: errors.append(state.truncation_error),
+    )
     wall = time.perf_counter() - start
     return RunResult(
         counts=counts,
@@ -315,7 +263,7 @@ def run(
         backend="mps",
         seed=seed,
         wall_time=wall,
-        metadata={"chi_max": chi_max, "truncation_error": trunc},
+        metadata={"chi_max": chi_max, "truncation_error": max(errors)},
     )
 
 

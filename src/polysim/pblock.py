@@ -3,32 +3,26 @@
 Every qubit starts in its own single-qubit state vector.  Two-qubit gates
 merge the owning blocks (tensor product, qubit list re-sorted, amplitudes
 permuted), so a block always covers exactly the qubits that have actually
-interacted.  Measuring a qubit projects its block and factors the qubit back
-out into a singleton, shrinking the live dimension.  The distributed variant
-places qubits on virtual QPUs via the partitioner and realizes cross-QPU cx
-gates with a telegate gadget over per-link communication qubit pairs.
+interacted.  A measurement that splits shots projects its block and factors
+the qubit back out into a singleton, shrinking the live dimension.  The
+distributed variant places qubits on virtual QPUs via the partitioner and
+realizes cross-QPU cx gates with a telegate gadget over per-link
+communication qubit pairs.  Shots are walked by ``polysim.engine``, through
+``ShotState``.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import statevector
 from .circuit import Circuit, Instruction
-from .features import extract_features
+from .engine import run_shots
+from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
 from .partition import PartitionPlan, VqpuLayout, partition_circuit
-from .result import (
-    BackendError,
-    NoMeasurementsError,
-    RunResult,
-    clbit_order,
-    measurement_map,
-    pack_bitstring,
-    sample_measurement_groups,
-)
+from .result import BackendError, RunResult, sample_measurement_groups
 
 
 def reorder_qubits(state: np.ndarray, current: list[int], target: list[int]) -> np.ndarray:
@@ -63,12 +57,15 @@ class PBlockState:
             self.block_of[q] = Block([q], state)
 
     def blocks(self) -> list[Block]:
-        seen: list[Block] = []
-        for q in range(self.n):
-            b = self.block_of[q]
-            if all(b is not s for s in seen):
-                seen.append(b)
-        return seen
+        """Distinct blocks, ordered by their lowest qubit."""
+        return list({id(b): b for b in self.block_of.values()}.values())
+
+    def copy(self) -> "PBlockState":
+        dup = PBlockState.__new__(PBlockState)
+        dup.n = self.n
+        twins = {id(b): Block(list(b.qubits), b.state.copy()) for b in self.blocks()}
+        dup.block_of = {q: twins[id(b)] for q, b in self.block_of.items()}
+        return dup
 
     def max_dim(self) -> int:
         return max(b.dim for b in self.blocks())
@@ -104,12 +101,16 @@ class PBlockState:
         )
         statevector.apply_instruction(block.state, len(block.qubits), local)
 
-    def measure_and_factor(self, qubit: int, rng: np.random.Generator) -> int:
+    def p1(self, qubit: int) -> float:
         block = self.block_of[qubit]
-        n_local = len(block.qubits)
+        return statevector.prob_one(block.state, block.qubits.index(qubit))
+
+    def project(self, qubit: int, bit: int) -> None:
+        """Collapse a qubit onto |bit> and factor it out into a singleton."""
+        block = self.block_of[qubit]
         pos = block.qubits.index(qubit)
-        bit = statevector._measure_qubit(block.state, n_local, pos, rng)
-        if n_local > 1:
+        statevector.project(block.state, pos, bit)
+        if len(block.qubits) > 1:
             kept = block.state.reshape(-1, 2, 1 << pos)[:, bit, :].reshape(-1)
             rest = Block([q for q in block.qubits if q != qubit], kept)
             for q in rest.qubits:
@@ -117,13 +118,15 @@ class PBlockState:
         single = np.zeros(2, dtype=complex)
         single[bit] = 1.0
         self.block_of[qubit] = Block([qubit], single)
+
+    def measure_and_factor(self, qubit: int, rng: np.random.Generator) -> int:
+        bit = 1 if rng.random() < self.p1(qubit) else 0
+        self.project(qubit, bit)
         return bit
 
     def reset(self, qubit: int, rng: np.random.Generator) -> None:
-        self.measure_and_factor(qubit, rng)
-        single = np.zeros(2, dtype=complex)
-        single[0] = 1.0
-        self.block_of[qubit] = Block([qubit], single)
+        if self.measure_and_factor(qubit, rng):
+            self.set_basis(qubit, 0)
 
     def set_basis(self, qubit: int, bit: int) -> None:
         """Force a qubit known to sit in a singleton block to |bit>."""
@@ -157,30 +160,62 @@ def _measured_groups(state: PBlockState, measured: set[int]):
     return groups
 
 
-def run(c: Circuit, shots: int, seed: int, workers: int = 1) -> RunResult:
-    """Block-partitioned execution without a vQPU layout."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    measures = measurement_map(c)
-    if not measures:
-        raise NoMeasurementsError("circuit has no measurements")
+class ShotState:
+    """A PBlockState as the shot engine walks it.
+
+    With a distributed program, gates across vQPUs run as telegate gadgets
+    whose outcomes come from ``rng``; the corrections leave every outcome
+    with the same state, so gadgets never split shots.  The walk's first
+    path records the largest block after each step in ``trace`` and the
+    gadgets in ``gadgets``; copies record nothing.
+    """
+
+    def __init__(self, blocks: PBlockState, program=None, rng=None, trace=None, gadgets=None):
+        self.blocks = blocks
+        self.program = program
+        self.rng = rng
+        self.trace = trace
+        self.gadgets = gadgets
+
+    def copy(self) -> "ShotState":
+        return ShotState(self.blocks.copy(), self.program, self.rng)
+
+    def apply(self, inst: Instruction) -> None:
+        p = self.program
+        if p is not None and len({p.vqpu_of[q] for q in inst.qubits}) == 2:
+            _apply_distributed(p, self.blocks, inst, self.rng, self.gadgets)
+        else:
+            self.blocks.apply(inst)
+        self._record()
+
+    def p1(self, q: int) -> float:
+        return self.blocks.p1(q)
+
+    def project(self, q: int, bit: int) -> None:
+        self.blocks.project(q, bit)
+        self._record()
+
+    def sample(self, measures, count: int, rng: np.random.Generator) -> dict[str, int]:
+        groups = _measured_groups(self.blocks, {q for q, _ in measures})
+        return sample_measurement_groups(groups, measures, count, rng)
+
+    def _record(self) -> None:
+        if self.trace is not None:
+            self.trace.append(self.blocks.max_dim())
+
+
+def run(c: Circuit, shots: int, seed: int) -> RunResult:
+    """Block-partitioned execution without a vQPU layout.
+
+    The shot engine (``polysim.engine``) walks the blocks once per distinct
+    history of the mid-circuit measurements and resets.  A measurement that
+    splits shots factors its qubit out of its block; a deferred one leaves
+    the block whole until the terminal draw.
+    """
     start = time.perf_counter()
-    features = extract_features(c)
     trace: list[int] = []
-
-    if features.terminal_measurement_only:
-        state = PBlockState(c.n_qubits)
-        for inst in c.instructions:
-            if inst.is_unitary:
-                state.apply(inst)
-                trace.append(state.max_dim())
-        groups = _measured_groups(state, {q for q, _ in measures})
-        counts = sample_measurement_groups(
-            groups, measures, shots, np.random.default_rng(seed)
-        )
-    else:
-        counts = _replay_all(c, shots, seed, workers, trace)
-
+    state = ShotState(PBlockState(c.n_qubits), trace=trace)
+    counts = run_shots(state, c.instructions, shots, np.random.default_rng(seed))
     wall = time.perf_counter() - start
     return RunResult(
         counts=counts,
@@ -193,52 +228,6 @@ def run(c: Circuit, shots: int, seed: int, workers: int = 1) -> RunResult:
             "block_dim_trace": trace,
         },
     )
-
-
-def _one_replay(
-    c: Circuit, shot_rng: np.random.Generator, trace: list[int] | None
-) -> str:
-    state = PBlockState(c.n_qubits)
-    values: dict[int, int] = {}
-    for inst in c.instructions:
-        if inst.kind == "measure":
-            values[inst.clbit] = state.measure_and_factor(inst.qubits[0], shot_rng)
-        elif inst.kind == "reset":
-            state.reset(inst.qubits[0], shot_rng)
-        elif inst.is_unitary:
-            state.apply(inst)
-        if trace is not None:
-            trace.append(state.max_dim())
-    clbits = clbit_order(measurement_map(c))
-    return pack_bitstring(values, clbits)
-
-
-def _replay_all(
-    c: Circuit, shots: int, seed: int, workers: int, trace: list[int]
-) -> dict[str, int]:
-    # Every shot replays the whole circuit on a fresh state with its own
-    # derived stream, so results do not depend on the worker count.
-    def chunk(lo: int, hi: int) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in range(lo, hi):
-            key = _one_replay(c, np.random.default_rng([seed, s]), trace if s == 0 else None)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    workers = max(1, min(workers, shots))
-    if workers == 1:
-        return chunk(0, shots)
-    bounds = np.linspace(0, shots, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(chunk, int(bounds[w]), int(bounds[w + 1]))
-            for w in range(workers)
-        ]
-        counts: dict[str, int] = {}
-        for fut in futures:
-            for key, value in fut.result().items():
-                counts[key] = counts.get(key, 0) + value
-    return counts
 
 
 # --- distributed execution ------------------------------------------------------
@@ -339,94 +328,19 @@ def _apply_distributed(
         raise BackendError(f"unsupported two-qubit kind {inst.kind!r}")
 
 
-def run_distributed(
-    c: Circuit,
-    layout: VqpuLayout,
-    shots: int,
-    seed: int,
-    workers: int = 1,
-) -> RunResult:
-    """Execute across virtual QPUs after cut-minimizing qubit placement."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    measures = measurement_map(c)
-    if not measures:
-        raise NoMeasurementsError("circuit has no measurements")
+def run_distributed(c: Circuit, layout: VqpuLayout, shots: int, seed: int) -> RunResult:
+    """Execute across virtual QPUs after cut-minimizing qubit placement.
+
+    The shot engine walks the remapped circuit as ``run`` does; gadget
+    outcomes and the engine's splits and draws share one generator.
+    """
     start = time.perf_counter()
     program = _build_program(c, layout, seed)
-    remapped = program.remapped
-    features = extract_features(remapped)
     trace: list[int] = []
     gadget_stats: list[dict] = []
-
-    if features.terminal_measurement_only:
-        # Telegate corrections make the post-gadget state identical on every
-        # measurement branch, so one pass builds the final blocks and the
-        # terminal shots are alias-sampled from their marginals.
-        rng = np.random.default_rng(seed)
-        state = PBlockState(program.total_qubits)
-        for inst in remapped.instructions:
-            if not inst.is_unitary:
-                continue
-            if len(inst.qubits) == 2 and program.vqpu_of[
-                inst.qubits[0]
-            ] != program.vqpu_of[inst.qubits[1]]:
-                _apply_distributed(program, state, inst, rng, gadget_stats)
-            else:
-                state.apply(inst)
-            trace.append(state.max_dim())
-        remapped_measures = measurement_map(remapped)
-        groups = _measured_groups(state, {q for q, _ in remapped_measures})
-        counts = sample_measurement_groups(groups, remapped_measures, shots, rng)
-    else:
-        clbits = clbit_order(measures)
-
-        def one_shot(s: int) -> str:
-            shot_rng = np.random.default_rng([seed, s])
-            state = PBlockState(program.total_qubits)
-            values: dict[int, int] = {}
-            record = s == 0
-            for inst in remapped.instructions:
-                if inst.kind == "measure":
-                    values[inst.clbit] = state.measure_and_factor(
-                        inst.qubits[0], shot_rng
-                    )
-                elif inst.kind == "reset":
-                    state.reset(inst.qubits[0], shot_rng)
-                elif len(inst.qubits) == 2 and program.vqpu_of[
-                    inst.qubits[0]
-                ] != program.vqpu_of[inst.qubits[1]]:
-                    _apply_distributed(
-                        program, state, inst, shot_rng, gadget_stats if record else None
-                    )
-                elif inst.is_unitary:
-                    state.apply(inst)
-                if record:
-                    trace.append(state.max_dim())
-            return pack_bitstring(values, clbits)
-
-        def chunk(lo: int, hi: int) -> dict[str, int]:
-            out: dict[str, int] = {}
-            for s in range(lo, hi):
-                key = one_shot(s)
-                out[key] = out.get(key, 0) + 1
-            return out
-
-        workers = max(1, min(workers, shots))
-        if workers == 1:
-            counts = chunk(0, shots)
-        else:
-            bounds = np.linspace(0, shots, workers + 1, dtype=int)
-            counts = {}
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(chunk, int(bounds[w]), int(bounds[w + 1]))
-                    for w in range(workers)
-                ]
-                for fut in futures:
-                    for key, value in fut.result().items():
-                        counts[key] = counts.get(key, 0) + value
-
+    rng = np.random.default_rng(seed)
+    state = ShotState(PBlockState(program.total_qubits), program, rng, trace, gadget_stats)
+    counts = run_shots(state, program.remapped.instructions, shots, rng)
     wall = time.perf_counter() - start
     return RunResult(
         counts=counts,

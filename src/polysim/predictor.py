@@ -41,7 +41,6 @@ def estimate(
     model: CalibrationModel,
     shots: int,
     chi: int | None = None,
-    workers: int = 1,
     features: CircuitFeatures | None = None,
 ) -> float:
     """Predicted wall seconds for running `c` on `backend`."""
@@ -69,8 +68,6 @@ def estimate(
         gate_term = (
             n_1q * model.sv_coef("1q", n) + n_2q * model.sv_coef("2q", n)
         ) * dim
-        if not f.terminal_measurement_only and workers > 1:
-            shot_term = c1 + c2 * shots / model.alpha_at(workers)
         return gate_term + shot_term
 
     if backend == "mps":
@@ -115,7 +112,6 @@ def select_backend(
     c: Circuit,
     model: CalibrationModel,
     shots: int,
-    workers: int = 1,
     qubit_cap: int = statevector.DEFAULT_QUBIT_CAP,
 ) -> PredictionReport:
     """Estimate every applicable backend and pick the fastest."""
@@ -126,9 +122,7 @@ def select_backend(
         estimates["stab"] = estimate(c, "stab", model, shots, features=f)
     estimates["mps"] = estimate(c, "mps", model, shots, chi=chi, features=f)
     if f.n_qubits <= qubit_cap:
-        estimates["sv"] = estimate(
-            c, "sv", model, shots, workers=workers, features=f
-        )
+        estimates["sv"] = estimate(c, "sv", model, shots, features=f)
     if not estimates:
         raise PredictionError("no backend is applicable to this circuit")
     chosen = min(estimates, key=lambda b: (estimates[b], _TIE_ORDER[b]))

@@ -42,11 +42,6 @@ def clbit_order(measures: list[tuple[int, int]]) -> list[int]:
     return sorted({cl for _, cl in measures})
 
 
-def pack_bitstring(values: dict[int, int], clbits: list[int]) -> str:
-    """Render clbit values with the lowest measured clbit rightmost."""
-    return "".join(str(values[c]) for c in reversed(clbits))
-
-
 def sample_measurement_groups(
     groups: list[tuple[tuple[int, ...], np.ndarray]],
     measures: list[tuple[int, int]],
@@ -58,25 +53,43 @@ def sample_measurement_groups(
     Each group is a set of measured qubits (ascending) together with their
     joint probability vector, little-endian in that qubit order.  Groups are
     independent, so a full shot is assembled from one alias draw per group.
+    Each draw's bits are packed into as many 63-bit words as the measured
+    qubits need, so the number of measured clbits is not capped.
     """
     if not measures:
         raise NoMeasurementsError("circuit has no measurements")
-    qubit_bits: dict[int, np.ndarray] = {}
+    words: list[np.ndarray] = []
+    where: dict[int, tuple[int, int]] = {}  # qubit -> (word, bit)
+    used = 63
     for qubits, probs in groups:
-        table = AliasTable.from_probs(probs)
-        idx = table.sample_indices(rng, shots)
+        idx = AliasTable.from_probs(probs).sample_indices(rng, shots)
+        if used + len(qubits) > 63:
+            words.append(np.zeros(shots, dtype=np.int64))
+            used = 0
+        words[-1] |= idx << used
         for j, q in enumerate(qubits):
-            qubit_bits[q] = ((idx >> j) & 1).astype(np.int64)
+            where[q] = (len(words) - 1, used + j)
+        used += len(qubits)
+    if len(words) == 1:
+        rows, freq = np.unique(words[0], return_counts=True)
+        rows = rows[:, None]
+    else:
+        rows, freq = np.unique(np.stack(words, axis=1), axis=0, return_counts=True)
 
     latest_source: dict[int, int] = {}
     for qubit, clbit in measures:
         latest_source[clbit] = qubit
-    clbits = sorted(latest_source)
-    if len(clbits) > 63:
-        raise BackendError("more than 63 measured clbits")
-    codes = np.zeros(shots, dtype=np.int64)
+    clbits = sorted(latest_source, reverse=True)
+    bits = np.empty((len(rows), len(clbits)), dtype=np.uint8)
     for pos, cl in enumerate(clbits):
-        codes |= qubit_bits[latest_source[cl]] << pos
-    values, freq = np.unique(codes, return_counts=True)
+        w, j = where[latest_source[cl]]
+        bits[:, pos] = (rows[:, w] >> j) & 1
+    text = (bits + ord("0")).tobytes().decode("ascii")
     width = len(clbits)
-    return {format(int(v), f"0{width}b"): int(k) for v, k in zip(values, freq)}
+    keys = [text[i:i + width] for i in range(0, len(text), width)]
+    if len(where) == len(set(latest_source.values())):
+        return dict(zip(keys, freq.tolist()))
+    counts: dict[str, int] = {}
+    for key, k in zip(keys, freq.tolist()):  # rows differing in unread qubits share a key
+        counts[key] = counts.get(key, 0) + k
+    return counts

@@ -3,29 +3,22 @@
 Qubit 0 is the least significant bit of the amplitude index.  Gate kernels
 operate in place on reshaped views, with special paths for diagonal and
 generalized-permutation matrices so the Clifford workhorses (cx, cz, swap,
-phase gates) touch each amplitude once.
+phase gates) touch each amplitude once.  ``SvState`` is the state the shot
+engine (``polysim.engine``) walks; terminal draws go through an alias table
+over the measured qubits' marginal.
 """
 from __future__ import annotations
 
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import gates
 from .circuit import ONE_QUBIT_GATES, Circuit
+from .engine import run_shots
 from .features import extract_features
-from .result import (
-    BackendError,
-    NoMeasurementsError,
-    QubitCapError,
-    RunResult,
-    clbit_order,
-    measurement_map,
-    pack_bitstring,
-    sample_measurement_groups,
-)
+from .result import BackendError, QubitCapError, RunResult, sample_measurement_groups
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -139,116 +132,65 @@ def marginal_probs(amps: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndar
     return probs.reshape(-1)
 
 
-def _measure_qubit(amps: np.ndarray, n: int, q: int, rng: np.random.Generator) -> int:
+def prob_one(amps: np.ndarray, q: int) -> float:
+    """Probability that qubit q reads 1."""
+    return float(np.linalg.norm(amps.reshape(-1, 2, 1 << q)[:, 1, :]) ** 2)
+
+
+def project(amps: np.ndarray, q: int, bit: int) -> None:
+    """Collapse qubit q onto |bit> in place and renormalize."""
     arr = amps.reshape(-1, 2, 1 << q)
-    p1 = float(np.sum(np.abs(arr[:, 1, :]) ** 2))
-    outcome = 1 if rng.random() < p1 else 0
-    p = p1 if outcome else 1.0 - p1
-    arr[:, 1 - outcome, :] = 0.0
-    amps *= 1.0 / np.sqrt(p)
-    return outcome
+    arr[:, 1 - bit, :] = 0.0
+    amps *= 1.0 / np.sqrt(np.vdot(amps, amps).real)
 
 
-def _reset_qubit(amps: np.ndarray, n: int, q: int, rng: np.random.Generator) -> None:
-    if _measure_qubit(amps, n, q, rng) == 1:
-        apply_1q(amps, n, q, gates.single_qubit_matrix("x"))
+class SvState:
+    """A dense state as the shot engine walks it."""
 
+    def __init__(self, amps: np.ndarray, n: int):
+        self.amps = amps
+        self.n = n
 
-def _replay_shots(
-    prefix: np.ndarray,
-    n: int,
-    suffix: list,
-    n_shots: int,
-    rng: np.random.Generator,
-) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    all_measures = [(i.qubits[0], i.clbit) for i in suffix if i.kind == "measure"]
-    clbits = clbit_order(all_measures)
-    for _ in range(n_shots):
-        amps = prefix.copy()
-        values: dict[int, int] = {}
-        for inst in suffix:
-            if inst.kind == "measure":
-                values[inst.clbit] = _measure_qubit(amps, n, inst.qubits[0], rng)
-            elif inst.kind == "reset":
-                _reset_qubit(amps, n, inst.qubits[0], rng)
-            else:
-                apply_instruction(amps, n, inst)
-        key = pack_bitstring(values, clbits)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    def copy(self) -> "SvState":
+        return SvState(self.amps.copy(), self.n)
+
+    def apply(self, inst) -> None:
+        apply_instruction(self.amps, self.n, inst)
+
+    def p1(self, q: int) -> float:
+        return prob_one(self.amps, q)
+
+    def project(self, q: int, bit: int) -> None:
+        project(self.amps, q, bit)
+
+    def sample(self, measures, count: int, rng: np.random.Generator) -> dict[str, int]:
+        qubits = tuple(sorted({q for q, _ in measures}))
+        probs = marginal_probs(self.amps, self.n, qubits)
+        return sample_measurement_groups([(qubits, probs)], measures, count, rng)
 
 
 def run(
     c: Circuit,
     shots: int,
     seed: int,
-    workers: int = 1,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> RunResult:
     """Execute a circuit and return sampled measurement counts.
 
-    Terminal-measurement circuits are executed once and sampled through an
-    alias table; anything with mid-circuit measurement or reset replays the
-    suffix per shot on a clone of the prefix state.  With ``workers`` > 1 the
-    replay fans out in chunks, worker w drawing from a stream seeded with
-    ``seed + w``; merged counts equal a sequential run of the same streams.
+    The shot engine (``polysim.engine``) walks one dense state and copies it
+    only where a mid-circuit measurement or reset splits the shots, so a run
+    costs one pass per distinct measurement history.  Terminal measurements
+    are drawn from the final state's marginal through an alias table.
     """
     if c.n_qubits > qubit_cap:
         raise QubitCapError(f"{c.n_qubits} qubits exceeds the configured cap {qubit_cap}")
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    measures = measurement_map(c)
-    if not measures:
-        raise NoMeasurementsError("circuit has no measurements")
     start = time.perf_counter()
-    features = extract_features(c)
-    n = c.n_qubits
-
-    if features.terminal_measurement_only:
-        amps = zero_state(n)
-        for inst in c.instructions:
-            if inst.is_unitary:
-                apply_instruction(amps, n, inst)
-        qubits = tuple(sorted({q for q, _ in measures}))
-        probs = marginal_probs(amps, n, qubits)
-        rng = np.random.default_rng(seed)
-        counts = sample_measurement_groups([(qubits, probs)], measures, shots, rng)
-    else:
-        split = next(
-            i for i, inst in enumerate(c.instructions) if inst.kind in ("measure", "reset")
-        )
-        prefix_state = zero_state(n)
-        for inst in c.instructions[:split]:
-            if inst.is_unitary:
-                apply_instruction(prefix_state, n, inst)
-        suffix = [i for i in c.instructions[split:] if i.kind != "barrier"]
-        workers = max(1, min(workers, shots))
-        chunk_sizes = [
-            shots // workers + (1 if w < shots % workers else 0) for w in range(workers)
-        ]
-        if workers == 1:
-            counts = _replay_shots(
-                prefix_state, n, suffix, shots, np.random.default_rng(seed)
-            )
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _replay_shots,
-                        prefix_state,
-                        n,
-                        suffix,
-                        chunk_sizes[w],
-                        np.random.default_rng(seed + w),
-                    )
-                    for w in range(workers)
-                ]
-                counts = {}
-                for fut in futures:
-                    for key, value in fut.result().items():
-                        counts[key] = counts.get(key, 0) + value
-
+    counts = run_shots(
+        SvState(zero_state(c.n_qubits), c.n_qubits),
+        c.instructions,
+        shots,
+        np.random.default_rng(seed),
+    )
     wall = time.perf_counter() - start
     return RunResult(counts=counts, shots=shots, backend="sv", seed=seed, wall_time=wall)
 

@@ -6,7 +6,7 @@ from conftest import ghz
 
 from polysim import cli
 from polysim.batch import load_directory, run_batch
-from polysim.calibration import CalibrationConfig, calibrate
+from polysim.calibration import MODEL_VERSION, CalibrationConfig, calibrate
 from polysim.circuit import Circuit, is_clifford
 from polysim.qasm import parse_qasm_file, to_qasm
 from polysim.suite import (
@@ -367,4 +367,4 @@ def test_cli_calibrate_writes_model(tmp_path, capsys, monkeypatch):
     from polysim.calibration import CalibrationModel
 
     loaded = CalibrationModel.load(str(out))
-    assert loaded.alpha[0] == 1.0
+    assert loaded.version == MODEL_VERSION

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def test_norm_stays_one_through_truncating_run(rng):
     c = random_circuit(6, 40, rng, measured=False)
     state = mps.MpsState(6, chi_max=2)
     for inst in c.instructions:
-        state.apply_gate(inst)
+        state.apply(inst)
         assert abs(np.linalg.norm(state.to_statevector()) - 1.0) < 1e-10
 
 
@@ -146,22 +148,6 @@ def test_same_seed_reproduces_counts():
     assert mps.run(c, shots=2000, seed=78, chi_max=8).counts != a.counts
 
 
-def test_worker_fanout_merges_chunk_counts():
-    c = Circuit(2, 2)
-    c.gate("h", 0)
-    c.measure(0, 0)
-    c.gate("h", 0)
-    c.measure(0, 1)
-    merged = mps.run(c, shots=1001, seed=40, chi_max=4, workers=3)
-    assert sum(merged.counts.values()) == 1001
-    by_hand: dict[str, int] = {}
-    for w, size in enumerate((334, 334, 333)):
-        part = mps.run(c, shots=size, seed=40 + w, chi_max=4)
-        for key, value in part.counts.items():
-            by_hand[key] = by_hand.get(key, 0) + value
-    assert merged.counts == by_hand
-
-
 def test_random_state_sampling_matches_contraction(rng):
     state = mps.MpsState.random(7, chi=4, rng=rng)
     amps = state.to_statevector()
@@ -195,3 +181,18 @@ def test_rejects_unmeasured_circuit_and_bad_chi():
         mps.run(ghz(3, measured=False), shots=10, seed=0, chi_max=4)
     with pytest.raises(ValueError):
         mps.MpsState(3, chi_max=0)
+
+
+def test_mid_circuit_run_reports_worst_path_truncation():
+    c = Circuit(4, 4)
+    c.gate("ry", 0, params=(1.0,))  # reads 1 on about 23% of shots
+    c.gate("ry", 2, params=(0.4,))
+    c.measure(0, 0)
+    c.gate("cx", 0, 2)
+    c.gate("ry", 2, params=(0.3,))
+    c.gate("cx", 2, 3)  # chi 1 keeps only the larger Schmidt value
+    c.measure(1, 1).measure(2, 2).measure(3, 3)
+    result = mps.run(c, shots=400, seed=3, chi_max=1)
+    # outcome 0 leaves ry(0.7) on q2 and outcome 1 leaves ry(pi - 0.1);
+    # the rarer outcome is walked first, the reported error is the worse one
+    assert result.metadata["truncation_error"] == pytest.approx(math.sin(0.35) ** 2)

@@ -137,19 +137,6 @@ def test_run_mid_circuit_matches_branch_oracle():
     assert chisquare_pvalue(result.counts, expected, shots) > 1e-3
 
 
-def test_replay_counts_do_not_depend_on_worker_count():
-    c = Circuit(2, 2)
-    c.gate("h", 0)
-    c.measure(0, 0)
-    c.gate("h", 1)
-    c.measure(1, 1)
-    c.gate("h", 0)
-    c.measure(0, 0)
-    one = pblock.run(c, shots=500, seed=9, workers=1)
-    three = pblock.run(c, shots=500, seed=9, workers=3)
-    assert one.counts == three.counts
-
-
 def test_max_block_dim_tracks_interaction_components(rng):
     c = Circuit(8, 8)
     for q in range(8):
@@ -298,3 +285,35 @@ def test_qubit_map_is_partition_after_every_instruction(rng):
         assert covered == list(range(7))
         for b in state.blocks():
             assert all(state.block_of[q] is b for q in b.qubits)
+
+
+def test_seventy_measured_qubits_have_no_clbit_cap():
+    c = Circuit(70, 70)
+    for q in range(70):
+        c.gate("h", q)
+    c.measure_all()
+    result = pblock.run(c, shots=300, seed=2)
+    assert sum(result.counts.values()) == 300
+    assert all(len(key) == 70 for key in result.counts)
+    assert len(result.counts) == 300  # 2^70 outcomes: every shot is distinct
+
+
+def test_distributed_mid_circuit_reports_gadgets():
+    c = Circuit(4, 3)
+    c.gate("h", 0)
+    c.gate("cx", 0, 2)  # crosses the two vQPUs
+    c.measure(2, 0)
+    c.gate("h", 2)
+    c.gate("cx", 2, 3)
+    c.gate("cx", 3, 1)  # crosses back
+    c.measure(3, 1)
+    c.measure(0, 2)
+    result = pblock.run_distributed(c, VqpuLayout(2, 2), shots=400, seed=4)
+    permutation = {int(k): v for k, v in result.metadata["permutation"].items()}
+    vqpu = {q: permutation[q] // 2 for q in range(4)}
+    crossing = sum(
+        1 for a, b in ((0, 2), (2, 3), (3, 1)) if vqpu[a] != vqpu[b]
+    )
+    assert crossing > 0
+    assert len(result.metadata["gadgets"]) == crossing
+    assert result.metadata["max_block_dim"] >= 4

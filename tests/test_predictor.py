@@ -8,6 +8,7 @@ from conftest import ghz, qft, random_circuit
 
 from polysim import statevector
 from polysim.calibration import (
+    MODEL_VERSION,
     CalibrationConfig,
     CalibrationError,
     CalibrationModel,
@@ -144,13 +145,12 @@ def make_model(
     shots_sv=(1e-4, 2e-6),
     shots_mps=(3e-4, 8e-6),
     shots_stab=(5e-5, 4e-6),
-    alpha=(1.0,),
 ):
     """Model whose curves are constant, so estimates are exact arithmetic."""
     const = lambda v: (v, v)
     surf = lambda v: ((v, v), (v, v))
     return CalibrationModel(
-        version=1,
+        version=MODEL_VERSION,
         created="2026-08-16T00:00:00+00:00",
         sv_grid=(2, 20),
         sv_curves={"1q": const(sv_1q), "2q": const(sv_2q)},
@@ -164,7 +164,6 @@ def make_model(
         stab_grid=(4, 64),
         stab_curves={"gate": const(stab_gate), "measure": const(stab_meas)},
         shot_coeffs={"sv": shots_sv, "mps": shots_mps, "stab": shots_stab},
-        alpha=alpha,
     )
 
 
@@ -183,7 +182,6 @@ def scaled_model(model, factor):
         stab_grid=model.stab_grid,
         stab_curves={k: scale(v) for k, v in model.stab_curves.items()},
         shot_coeffs={k: (factor * c1, factor * c2) for k, (c1, c2) in model.shot_coeffs.items()},
-        alpha=model.alpha,
     )
 
 
@@ -286,35 +284,6 @@ def test_estimate_rejects_unknown_backend():
     model = make_model()
     with pytest.raises(PredictionError):
         estimate(Circuit(1), "dense", model, shots=10)
-
-
-def test_workers_discount_only_sv_replay():
-    model = make_model(alpha=(1.0, 1.8, 3.2))
-    terminal = ghz(5)
-    replay = ghz(5)
-    replay.gate("h", 0)  # unitary after a measurement forces replay
-    t1 = estimate(terminal, "sv", model, shots=1000, workers=1)
-    t4 = estimate(terminal, "sv", model, shots=1000, workers=4)
-    assert t1 == t4
-    r1 = estimate(replay, "sv", model, shots=1000, workers=1)
-    r4 = estimate(replay, "sv", model, shots=1000, workers=4)
-    c1, c2 = model.shot_coeffs["sv"]
-    assert r4 == pytest.approx(r1 - (c2 * 1000 - c2 * 1000 / 3.2), rel=1e-12)
-    # mps and stab ignore the worker count in the estimate
-    assert estimate(replay, "mps", model, shots=1000, chi=4, workers=4) == estimate(
-        replay, "mps", model, shots=1000, chi=4, workers=1
-    )
-
-
-def test_alpha_lookup_uses_largest_covered_power_of_two():
-    model = make_model(alpha=(1.0, 1.8, 3.2))
-    assert model.alpha_at(1) == 1.0
-    assert model.alpha_at(2) == 1.8
-    assert model.alpha_at(3) == 1.8
-    assert model.alpha_at(4) == 3.2
-    assert model.alpha_at(64) == 3.2
-    with pytest.raises(ValueError):
-        model.alpha_at(0)
 
 
 # ------------------------------------------------------------- chi policy
@@ -469,11 +438,6 @@ def test_model_validation_catches_bad_values():
         CalibrationModel.from_dict(bad)
 
     bad = json.loads(json.dumps(good))
-    bad["alpha"] = [0.9]
-    with pytest.raises(CalibrationError):
-        CalibrationModel.from_dict(bad)
-
-    bad = json.loads(json.dumps(good))
     bad["mps"]["grid_chi"] = [4, 2]
     with pytest.raises(CalibrationError):
         CalibrationModel.from_dict(bad)
@@ -501,7 +465,7 @@ def test_calibrate_produces_positive_grids(quick_model):
     assert len(m.stab_curves["measure"]) == 2
     for pair in m.shot_coeffs.values():
         assert pair[0] > 0 and pair[1] > 0
-    assert m.alpha[0] == 1.0
+    assert m.version == MODEL_VERSION
     assert m.created.startswith("20")
 
 

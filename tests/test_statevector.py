@@ -166,23 +166,6 @@ def test_seed_determinism():
     assert a != c2  # overwhelmingly likely for 3000 shots
 
 
-def test_worker_fanout_merges_to_sequential():
-    c = Circuit(2, 3)
-    c.gate("h", 0).gate("cx", 0, 1).measure(0, 0)
-    c.gate("h", 0)  # gate on a measured qubit: forces per-shot replay
-    c.measure(0, 1).measure(1, 2)
-    shots, seed, workers = 1000, 9, 3
-    parallel = sv.run(c, shots=shots, seed=seed, workers=workers).counts
-
-    merged: dict[str, int] = {}
-    sizes = [shots // workers + (1 if w < shots % workers else 0) for w in range(workers)]
-    for w, size in enumerate(sizes):
-        part = sv.run(c, shots=size, seed=seed + w).counts
-        for key, value in part.items():
-            merged[key] = merged.get(key, 0) + value
-    assert parallel == merged
-
-
 def test_crossed_clbit_mapping():
     c = Circuit(2, 2)
     c.gate("x", 0)
