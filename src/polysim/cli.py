@@ -24,6 +24,8 @@ EXIT_INPUT = 3
 EXIT_BACKEND = 4
 OUTPUT_VERSION = 1
 
+# Errors in what the caller gave: files, their text and their contents.  Any
+# other exception, a bare ValueError included, is a failure of the program.
 _INPUT_ERRORS = (
     QasmError,
     CircuitError,
@@ -34,7 +36,7 @@ _INPUT_ERRORS = (
     NotADirectoryError,
     PermissionError,
     json.JSONDecodeError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 
@@ -52,6 +54,13 @@ def _emit_error(exc: Exception, as_json: bool) -> None:
         print(json.dumps(payload))
     else:
         print(f"error: {exc}", file=sys.stderr)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _calib_path(args) -> str:
@@ -224,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=("auto", "sv", "mps", "stab", "pblock"),
     )
-    run_p.add_argument("--shots", type=int, default=1000)
+    run_p.add_argument("--shots", type=_positive_int, default=1000)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--chi", type=int, default=None, help="fixed mps bond cap")
+    run_p.add_argument("--chi", type=_positive_int, default=None, help="fixed mps bond cap")
     run_p.add_argument("--fidelity-threshold", type=float, default=0.95)
     run_p.add_argument("--layout", default=None, help="vQPU layout JSON for pblock")
     run_p.add_argument("--calib", default=None, help="calibration JSON for auto")
@@ -235,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred_p = sub.add_parser("predict", help="predict runtimes without executing", parents=[common])
     pred_p.add_argument("--input", required=True)
-    pred_p.add_argument("--shots", type=int, default=1000)
+    pred_p.add_argument("--shots", type=_positive_int, default=1000)
     pred_p.add_argument("--calib", default=None)
     pred_p.add_argument("--output", default=None)
     pred_p.set_defaults(func=_cmd_predict)
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--dir", required=True)
     batch_p.add_argument("--policy", default="auto", choices=POLICIES)
     batch_p.add_argument("--calib", default=None)
-    batch_p.add_argument("--shots", type=int, default=1000)
+    batch_p.add_argument("--shots", type=_positive_int, default=1000)
     batch_p.add_argument("--seed", type=int, default=0)
     batch_p.add_argument("--fidelity-threshold", type=float, default=0.95)
     batch_p.add_argument("--report", default=None, help="write report JSON here")

@@ -6,6 +6,7 @@ is ``s_first + 2 * s_second``, i.e. the first listed qubit is the low bit.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ _FIXED_1Q = {
     "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
     "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
 }
+_FIXED_1Q_ENTRIES = {kind: tuple(m.ravel().tolist()) for kind, m in _FIXED_1Q.items()}
 
 # Index convention: column/row = control + 2 * target for cx, symmetric gates
 # are unaffected by the ordering.
@@ -36,34 +38,38 @@ _FIXED_2Q = {
 }
 
 
+def single_qubit_entries(kind: str, params: tuple[float, ...] = ()) -> tuple[complex, ...]:
+    """The 2x2 unitary of a one-qubit gate kind, row-major, as Python complex numbers."""
+    if kind in _FIXED_1Q_ENTRIES:
+        return _FIXED_1Q_ENTRIES[kind]
+    if kind == "rx":
+        (theta,) = params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return (complex(c), -1j * s, -1j * s, complex(c))
+    if kind == "ry":
+        (theta,) = params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return (complex(c), complex(-s), complex(s), complex(c))
+    if kind == "rz":
+        (theta,) = params
+        return (cmath.exp(-0.5j * theta), 0j, 0j, cmath.exp(0.5j * theta))
+    if kind == "u":
+        theta, phi, lam = params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return (
+            complex(c),
+            -cmath.exp(1j * lam) * s,
+            cmath.exp(1j * phi) * s,
+            cmath.exp(1j * (phi + lam)) * c,
+        )
+    raise KeyError(f"not a one-qubit gate kind: {kind}")
+
+
 def single_qubit_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     """Return the 2x2 unitary for a one-qubit gate kind."""
     if kind in _FIXED_1Q:
         return _FIXED_1Q[kind]
-    if kind == "rx":
-        (theta,) = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind == "ry":
-        (theta,) = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "rz":
-        (theta,) = params
-        return np.array(
-            [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
-        )
-    if kind == "u":
-        theta, phi, lam = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array(
-            [
-                [c, -np.exp(1j * lam) * s],
-                [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-            ],
-            dtype=complex,
-        )
-    raise KeyError(f"not a one-qubit gate kind: {kind}")
+    return np.array(single_qubit_entries(kind, params)).reshape(2, 2)
 
 
 def two_qubit_matrix(kind: str) -> np.ndarray:

@@ -46,9 +46,11 @@ class VqpuLayout:
         try:
             k = int(d["k"])
             capacity = int(d["capacity"])
+            links = tuple((int(a), int(b)) for a, b in d.get("links", ()))
         except KeyError as missing:
             raise PartitionError(f"layout is missing {missing}") from None
-        links = tuple((int(a), int(b)) for a, b in d.get("links", ()))
+        except (TypeError, ValueError) as exc:
+            raise PartitionError(f"malformed layout: {exc}") from None
         return cls(k, capacity, links)
 
     @classmethod

@@ -282,6 +282,27 @@ def test_cli_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
+def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, capsys, monkeypatch):
+    qasm = write_qasm(tmp_path, ghz_circuit(3), "ghz3")
+    assert run_cli("run", "--input", qasm, "--backend", "sv", "--shots", "10") == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--input", qasm, "--backend", "sv", "--shots", "0")
+    assert exc.value.code == 2
+    binary = tmp_path / "binary.qasm"
+    binary.write_bytes(b"\xff\xfe\x00OPENQASM")
+    assert run_cli("run", "--input", str(binary), "--backend", "sv") == 3
+    layout = tmp_path / "layout.json"
+    layout.write_text('{"k": "two", "capacity": 2}')
+    assert run_cli("run", "--input", qasm, "--backend", "pblock", "--layout", str(layout)) == 3
+
+    def broken(*args, **kwargs):
+        raise ValueError("an internal invariant failed")
+
+    monkeypatch.setattr(cli, "run_circuit", broken)
+    assert run_cli("run", "--input", qasm, "--backend", "sv") == 4
+    capsys.readouterr()
+
+
 def test_cli_gen_suite_is_deterministic(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -108,8 +108,8 @@ def test_kernel_calls_do_not_grow_with_shots(monkeypatch):
         calls.clear()
         statevector.run(c, shots, 3)
         per_run.append(len(calls))
-    # h and cx once, then h once on each of the two measurement branches
-    assert per_run == [4, 4]
+    # h folded into cx once, then h once on each of the two measurement branches
+    assert per_run == [3, 3]
 
 
 def test_terminal_circuit_never_copies(monkeypatch):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from polysim import result
 from polysim.sampling import AliasTable, SamplingError, counts_to_distribution
 from conftest import chisquare_pvalue
 
@@ -113,3 +114,32 @@ def test_invalid_inputs():
 def test_counts_to_distribution():
     dist = counts_to_distribution({"0": 25, "1": 75})
     assert dist == {"0": 0.25, "1": 0.75}
+
+
+@pytest.mark.parametrize("shots, alias", [(2_000, False), (200_000, True)])
+def test_group_draws_follow_law_on_both_sides_of_alias_cutoff(monkeypatch, shots, alias):
+    rng = np.random.default_rng(shots)
+    builds = []
+    build = AliasTable.from_probs.__func__
+
+    def counted(cls, probs, outcomes=None):
+        builds.append(len(probs))
+        return build(cls, probs, outcomes)
+
+    monkeypatch.setattr(AliasTable, "from_probs", classmethod(counted))
+    probs = random_distribution(rng, 16)
+    measures = [(q, q) for q in range(4)]
+    counts = result.sample_measurement_groups([((0, 1, 2, 3), probs)], measures, shots, rng)
+    assert builds == ([16] if alias else [])
+    expected = {format(i, "04b"): float(p) for i, p in enumerate(probs)}
+    assert sum(counts.values()) == shots
+    assert chisquare_pvalue(counts, expected, shots) > 1e-3
+
+
+def test_inverse_cdf_never_draws_a_zero_bin(rng):
+    probs = np.zeros(8)
+    probs[[0, 3, 7]] = [0.5, 0.25, 0.25]
+    counts = result.sample_measurement_groups(
+        [((0, 1, 2), probs)], [(q, q) for q in range(3)], 5000, rng
+    )
+    assert set(counts) == {"000", "011", "111"}

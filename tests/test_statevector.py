@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from polysim import statevector as sv
-from polysim.circuit import Circuit, inverse_circuit
+from polysim.circuit import Circuit, Instruction, inverse_circuit
+from polysim.engine import run_shots
 from polysim.result import NoMeasurementsError, QubitCapError
 from conftest import (
     chisquare_pvalue,
@@ -199,22 +201,155 @@ def test_qubit_cap():
     sv.run(Circuit(5, 5).gate("h", 0).measure(0, 0), shots=1, seed=0, qubit_cap=5)
 
 
-def test_expectation_values():
-    g = ghz(3, measured=False)
-    assert sv.expectation(g, (0, 1)) == pytest.approx(1.0, abs=1e-12)
-    assert sv.expectation(g, (0, 1, 2)) == pytest.approx(0.0, abs=1e-12)
-    plus = Circuit(1)
-    plus.gate("h", 0)
-    assert sv.expectation(plus, (0,)) == pytest.approx(0.0, abs=1e-12)
-    ry = Circuit(1)
-    ry.gate("ry", 0, params=(0.9,))
-    assert sv.expectation(ry, (0,)) == pytest.approx(math.cos(0.9), abs=1e-12)
+def random_unitary(rng, k: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_expectation_uses_cached_state():
-    c = ghz(4, measured=False)
-    sv.expectation(c, (0,))
-    assert c in sv._state_cache
-    first = sv._state_cache[c]
-    sv.expectation(c, (1, 2))
-    assert sv._state_cache[c] is first
+def local_reference(amps: np.ndarray, qubits: tuple[int, ...], m: np.ndarray) -> np.ndarray:
+    """m @ v on every local subspace, by index arithmetic (first qubit = low bit)."""
+    idx = np.arange(amps.size)
+    local = sum(((idx >> q) & 1) << j for j, q in enumerate(qubits))
+    base = idx & ~sum(1 << q for q in qubits)
+    out = np.zeros_like(amps)
+    for col in range(len(m)):
+        source = base | sum(((col >> j) & 1) << q for j, q in enumerate(qubits))
+        out += m[local, col] * amps[source]
+    return out
+
+
+def test_generalized_permutations_match_dense_matrix(rng):
+    """All 24 4x4 permutations with unit phases; cycles of 3 and 4 included."""
+    bit_swap = [0, 2, 1, 3]
+    for perm in itertools.permutations(range(4)):
+        m = np.zeros((4, 4), dtype=complex)
+        m[range(4), perm] = np.exp(1j * rng.uniform(0, 2 * math.pi, size=4))
+        for qubits in ((0, 1), (1, 0)):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            full = m if qubits == (0, 1) else m[np.ix_(bit_swap, bit_swap)]
+            expected = full @ v
+            sv.apply_2q(v, 2, *qubits, m)
+            np.testing.assert_allclose(v, expected, atol=1e-12)
+
+
+def test_dense_kernels_match_reference_past_one_chunk(rng):
+    n = 15
+    assert 1 << n > sv.CHUNK
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    for q in range(n):
+        m = random_unitary(rng, 2)
+        expected = local_reference(amps, (q,), m)
+        sv.apply_1q(amps, n, q, m)
+        np.testing.assert_allclose(amps, expected, atol=1e-10)
+    for qa in range(n):
+        for qb in range(n):
+            if qa != qb:
+                m = random_unitary(rng, 4)
+                expected = local_reference(amps, (qa, qb), m)
+                sv.apply_2q(amps, n, qa, qb, m)
+                np.testing.assert_allclose(amps, expected, atol=1e-10)
+
+
+def random_mid_circuit(n: int, rng) -> Circuit:
+    """Random gates with measures and resets between them, every qubit measured last."""
+    c = Circuit(n, n)
+    for inst in random_circuit(n, 6 * n, rng, measured=False).instructions:
+        c.append(inst)
+        draw = rng.random()
+        if draw < 0.08:
+            c.measure(int(rng.integers(n)), int(rng.integers(n)))
+        elif draw < 0.14:
+            c.append(Instruction("reset", (int(rng.integers(n)),)))
+    c.measure_all()
+    return c
+
+
+def collapse_walk(ops, n: int, seed: int) -> np.ndarray:
+    """One path through ops, each measure or reset keeping a seeded outcome."""
+    bits = np.random.default_rng(seed)
+    amps = sv.zero_state(n)
+    for op in ops:
+        if op.kind not in ("measure", "reset"):
+            sv.apply_instruction(amps, n, op)
+            continue
+        q = op.qubits[0]
+        p1 = sv.prob_one(amps, q)
+        bit = int(bits.random() < 0.5)
+        if (p1 if bit else 1.0 - p1) < 1e-6:
+            bit = 1 - bit
+        sv.project(amps, q, bit)
+        if op.kind == "reset" and bit:
+            sv.apply_instruction(amps, n, Instruction("x", (q,)))
+    return amps
+
+
+def test_fused_stream_matches_per_gate_application(rng):
+    for n in range(1, 13):
+        for trial in range(3):
+            c = random_mid_circuit(n, rng)
+            fused = sv.fuse(c.instructions)
+            assert [op.kind for op in fused if op.kind in ("measure", "reset")] == [
+                i.kind for i in c.instructions if i.kind in ("measure", "reset")
+            ]
+            np.testing.assert_allclose(
+                collapse_walk(fused, n, trial), collapse_walk(c.instructions, n, trial),
+                atol=1e-12,
+            )
+
+
+class SplitEvenly:
+    """Stands in for the engine's generator: every split keeps half the shots.
+
+    A seeded generator's binomial draws consume its stream differently when
+    p1 is exactly 0 and when it is 1e-33, so fused and per-gate runs need not
+    give equal counts; with fixed splits they walk the same paths.
+    """
+
+    def __init__(self):
+        self.uniforms = np.random.default_rng(0)
+
+    def binomial(self, count: int, p: float) -> int:
+        if p < 1e-9:
+            return 0
+        return count if p > 1 - 1e-9 else count // 2
+
+    def random(self, size: int) -> np.ndarray:
+        return self.uniforms.random(size)
+
+
+def test_fused_engine_leaves_match_per_gate_engine(rng):
+    for n in range(1, 13):
+        c = random_mid_circuit(n, rng)
+        walks = []
+        for ops in (sv.fuse(c.instructions), c.instructions):
+            leaves = []
+            counts = run_shots(
+                sv.SvState(sv.zero_state(n), n), ops, 64, SplitEvenly(),
+                on_leaf=lambda state: leaves.append(state.amps.copy()),
+            )
+            walks.append((counts, leaves))
+        (fused_counts, fused_leaves), (counts, leaves) = walks
+        assert fused_counts == counts
+        assert len(fused_leaves) == len(leaves)
+        for a, b in zip(fused_leaves, leaves):
+            np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_fuse_flushes_before_measure_and_reset():
+    c = Circuit(3, 1)
+    c.gate("h", 0).gate("t", 0).gate("ry", 1, params=(0.4,)).gate("cx", 0, 1)
+    c.gate("s", 2).measure(2, 0).gate("x", 1)
+    c.append(Instruction("reset", (1,)))
+    c.gate("h", 2).gate("z", 2)
+    fused = sv.fuse(c.instructions)
+    assert [(op.kind, op.qubits) for op in fused] == [
+        ("fused", (0, 1)), ("s", (2,)), ("measure", (2,)), ("x", (1,)), ("reset", (1,)),
+        ("fused", (2,)),
+    ]
+
+
+def test_final_state_matches_oracle(rng):
+    c = random_circuit(6, 40, rng)
+    np.testing.assert_allclose(
+        sv.final_state(c), oracle_statevector_of_measured(c), atol=1e-10
+    )
