@@ -24,7 +24,9 @@ from .interpolate import MonotoneCurve, TensorSurface
 from .mps import MpsState
 from .stabilizer import Tableau
 
-MODEL_VERSION = 2
+# Version 3: the sv "1q" curve is a one-qubit gate's share of
+# ``statevector.fuse``, not a kernel of its own.
+MODEL_VERSION = 3
 _COEF_FLOOR = 1e-12
 
 
@@ -176,7 +178,8 @@ class CalibrationModel:
                     k: (v["c1"], v["c2"]) for k, v in raw["shots"].items()
                 },
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError: a curve or surface whose shape does not fit its grid.
             raise CalibrationError(f"malformed calibration data: {exc}") from exc
 
     def save(self, path: str) -> None:
@@ -284,7 +287,7 @@ def _stab_point(
 def _terminal_workload() -> Circuit:
     """Clifford circuit with terminal measurements for the shot fit.
 
-    Every backend runs it, and its per-shot sampling cost (alias draws,
+    Every backend runs it, and its per-shot sampling cost (inverse-CDF draws,
     branch splitting, or the tableau's GF(2) draw) lands in the slope.
     """
     c = Circuit(6, 6)

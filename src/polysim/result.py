@@ -1,13 +1,12 @@
 """Run results and helpers shared by every backend."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import Circuit
-from .sampling import AliasTable, SamplingError
+from .sampling import SamplingError
 
 
 class BackendError(RuntimeError):
@@ -54,8 +53,7 @@ def sample_measurement_groups(
     Each group is a set of measured qubits (ascending) together with their
     joint probability vector, little-endian in that qubit order.  Groups are
     independent, so a full shot is assembled from one draw per group.  A
-    group's draws come from an alias table when the shots far outnumber its
-    support, and otherwise by inverse CDF: one cumulative sum and a binary
+    group's draws are made by inverse CDF: one cumulative sum and a binary
     search per shot, with no table to build.  Each draw's bits are packed
     into as many 63-bit words as the measured qubits need, so the number of
     measured clbits is not capped.
@@ -66,21 +64,11 @@ def sample_measurement_groups(
     where: dict[int, tuple[int, int]] = {}  # qubit -> (word, bit)
     used = 63
     for qubits, probs in groups:
-        # The alias table pays only when the shots far outnumber the bins.
-        # Fitted, in ns, from both methods at supports 2^1..2^22 and 1 to 10^6
-        # shots (numpy 2.4, OpenBLAS 0.3.31, a 2-CPU Xeon): a table costs
-        # 100 us + 60 us per level + 150 per bin to build, then 40 per draw;
-        # inverse CDF costs 14 per level of its binary search per draw.
-        support = len(probs)
-        levels = math.log2(support)
-        if shots * (14 * levels - 40) > 100_000 + 60_000 * levels + 150 * support:
-            idx = AliasTable.from_probs(probs).sample_indices(rng, shots)
-        else:
-            cdf = np.cumsum(probs)
-            if not abs(cdf[-1] - 1.0) <= 1e-9:
-                raise SamplingError(f"probabilities sum to {cdf[-1]}, not 1")
-            idx = np.searchsorted(cdf, rng.random(shots) * cdf[-1], side="right")
-            np.minimum(idx, support - 1, out=idx)
+        cdf = np.cumsum(probs)
+        if not abs(cdf[-1] - 1.0) <= 1e-9:
+            raise SamplingError(f"probabilities sum to {cdf[-1]}, not 1")
+        idx = np.searchsorted(cdf, rng.random(shots) * cdf[-1], side="right")
+        np.minimum(idx, len(probs) - 1, out=idx)
         if used + len(qubits) > 63:
             words.append(np.zeros(shots, dtype=np.int64))
             used = 0

@@ -282,7 +282,7 @@ def test_cli_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
-def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, capsys, monkeypatch):
+def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, capsys, monkeypatch, model):
     qasm = write_qasm(tmp_path, ghz_circuit(3), "ghz3")
     assert run_cli("run", "--input", qasm, "--backend", "sv", "--shots", "10") == 0
     with pytest.raises(SystemExit) as exc:
@@ -294,6 +294,11 @@ def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, caps
     layout = tmp_path / "layout.json"
     layout.write_text('{"k": "two", "capacity": 2}')
     assert run_cli("run", "--input", qasm, "--backend", "pblock", "--layout", str(layout)) == 3
+    short = model.to_dict()
+    short["sv"]["curves"]["1q"] = short["sv"]["curves"]["1q"][:1]
+    calib = tmp_path / "short.json"
+    calib.write_text(json.dumps(short))
+    assert run_cli("run", "--input", qasm, "--backend", "auto", "--calib", str(calib)) == 3
 
     def broken(*args, **kwargs):
         raise ValueError("an internal invariant failed")

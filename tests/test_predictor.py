@@ -442,6 +442,16 @@ def test_model_validation_catches_bad_values():
     with pytest.raises(CalibrationError):
         CalibrationModel.from_dict(bad)
 
+    bad = json.loads(json.dumps(good))
+    bad["sv"]["curves"]["2q"] = bad["sv"]["curves"]["2q"][:1]
+    with pytest.raises(CalibrationError):
+        CalibrationModel.from_dict(bad)
+
+    bad = json.loads(json.dumps(good))
+    bad["mps"]["surfaces"]["1q"] = bad["mps"]["surfaces"]["1q"][:1]
+    with pytest.raises(CalibrationError):
+        CalibrationModel.from_dict(bad)
+
 
 @pytest.fixture(scope="module")
 def quick_model():
