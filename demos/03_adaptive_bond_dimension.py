@@ -3,9 +3,10 @@ Adaptive bond dimension on the tensor-network backend
 ======================================================
 
 The mps backend caps the bond dimension chi.  Too small a cap truncates the
-state; the fidelity loop doubles chi until a mirror-circuit check (run the
-unitary, then its inverse, count how often all zeros comes back) clears a
-threshold.
+state and discards Schmidt weight eps; the fidelity loop runs the circuit
+once per chi, doubling chi until 1 - eps over the worst path the run took
+clears a threshold.  Terminal shots come from one batched sweep over the
+sites.
 """
 
 import numpy as np

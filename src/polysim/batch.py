@@ -2,9 +2,11 @@
 
 Policies: fixed-sv-threshold runs the state-vector backend up to 30 qubits
 and the tensor-network backend above; fixed-mps and fixed-stab pin one
-backend; auto asks the predictor per circuit.  Tensor-network runs always
+backend; auto asks the predictor per circuit and reuses the features it
+extracted, so each circuit is analysed once.  Tensor-network runs always
 go through the fidelity loop (threshold 0.95, bond dimension doubling
-from 4).  A circuit that fails is recorded and the batch continues.
+from 4, each chi scored by 1 - eps over the run's worst path).  A circuit
+that fails is recorded and the batch continues.
 """
 from __future__ import annotations
 
@@ -149,7 +151,7 @@ def run_batch(
             )
             continue
         c = item
-        features = extract_features(c)
+        features = None
         backend = None
         chi = None
         predicted = None
@@ -163,6 +165,7 @@ def run_batch(
                 t0 = time.perf_counter()
                 report = select_backend(c, model, shots)
                 prediction_total += time.perf_counter() - t0
+                features = report.features
                 backend = report.chosen
                 predicted = report.estimates[backend]
             elif policy == "fixed-sv-threshold":
@@ -192,6 +195,8 @@ def run_batch(
         except Exception as exc:
             wall = 0.0 if run_started is None else time.perf_counter() - run_started
             error = f"{type(exc).__name__}: {exc}"
+        if features is None:
+            features = extract_features(c)
 
         records.append(
             CircuitRecord(

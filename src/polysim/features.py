@@ -2,16 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .circuit import (
-    ONE_QUBIT_CLIFFORD,
-    ONE_QUBIT_GATES,
-    TWO_QUBIT_GATES,
-    Circuit,
-    is_clifford,
-)
-
-GATE_CLASSES = ("1q-clifford", "1q-nonclifford", "2q", "measure", "reset")
+from .circuit import ONE_QUBIT_CLIFFORD, TWO_QUBIT_GATES, Circuit
 
 
 @dataclass(frozen=True)
@@ -31,48 +24,67 @@ def extract_features(c: Circuit) -> CircuitFeatures:
 
     The entanglement proxy is the largest number of two-qubit gates crossing
     any single cut of the linear qubit ordering; it upper-bounds the base-2
-    log of the Schmidt rank reachable across that cut.
+    log of the Schmidt rank reachable across that cut.  Everything comes
+    from one pass over the instructions; cut crossings are kept as a
+    difference array and summed once at the end.
     """
-    counts = dict.fromkeys(GATE_CLASSES, 0)
-    qubit_level = [0] * c.n_qubits
-    cut_crossings = [0] * max(c.n_qubits - 1, 1)
+    n = c.n_qubits
+    level = [0] * n
+    cut_delta = [0] * n  # crossings of cut i = sum of cut_delta[:i + 1]
     graph: dict[tuple[int, int], int] = {}
     measured: set[int] = set()
+    n_1q_clifford = n_1q_other = n_2q = n_measure = n_reset = 0
     terminal_only = True
 
     for inst in c.instructions:
-        if inst.kind == "barrier":
-            continue
-        if inst.kind == "measure":
-            counts["measure"] += 1
-            measured.add(inst.qubits[0])
-        elif inst.kind == "reset":
-            counts["reset"] += 1
-            terminal_only = False
-        elif inst.kind in TWO_QUBIT_GATES:
-            counts["2q"] += 1
-            a, b = sorted(inst.qubits)
+        kind = inst.kind
+        if kind in TWO_QUBIT_GATES:
+            n_2q += 1
+            a, b = inst.qubits
+            if a > b:
+                a, b = b, a
             edge = (a, b)
             graph[edge] = graph.get(edge, 0) + 1
-            for cut in range(a, b):
-                cut_crossings[cut] += 1
-        elif inst.kind in ONE_QUBIT_CLIFFORD:
-            counts["1q-clifford"] += 1
-        elif inst.kind in ONE_QUBIT_GATES:
-            counts["1q-nonclifford"] += 1
-        if inst.is_unitary and any(q in measured for q in inst.qubits):
+            cut_delta[a] += 1
+            cut_delta[b] -= 1
+            if measured and (a in measured or b in measured):
+                terminal_only = False
+            la, lb = level[a], level[b]
+            level[a] = level[b] = (la if la > lb else lb) + 1
+            continue
+        if kind == "barrier":
+            continue
+        q = inst.qubits[0]
+        level[q] += 1
+        if kind in ONE_QUBIT_CLIFFORD:
+            n_1q_clifford += 1
+        elif kind == "measure":
+            n_measure += 1
+            measured.add(q)
+            continue
+        elif kind == "reset":
+            n_reset += 1
             terminal_only = False
-        level = 1 + max(qubit_level[q] for q in inst.qubits)
-        for q in inst.qubits:
-            qubit_level[q] = level
+            continue
+        else:
+            n_1q_other += 1
+        if measured and q in measured:
+            terminal_only = False
 
+    counts = {
+        "1q-clifford": n_1q_clifford,
+        "1q-nonclifford": n_1q_other,
+        "2q": n_2q,
+        "measure": n_measure,
+        "reset": n_reset,
+    }
     return CircuitFeatures(
-        n_qubits=c.n_qubits,
-        total_gates=sum(counts.values()),
+        n_qubits=n,
+        total_gates=n_1q_clifford + n_1q_other + n_2q + n_measure + n_reset,
         counts_by_class=counts,
-        is_clifford=is_clifford(c),
+        is_clifford=n_1q_other == 0,
         terminal_measurement_only=terminal_only,
-        depth=max(qubit_level),
-        entanglement_proxy=max(cut_crossings) if c.n_qubits > 1 else 0,
+        depth=max(level),
+        entanglement_proxy=max(accumulate(cut_delta[:-1])) if n > 1 else 0,
         interaction_graph=graph,
     )

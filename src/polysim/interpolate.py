@@ -1,14 +1,18 @@
 """Monotone piecewise-cubic interpolation over calibration grids.
 
-Curves use PCHIP (Fritsch-Carlson slope limiting), which reproduces grid
-nodes exactly and never overshoots monotone data.  Queries outside a grid
-clamp to the nearest endpoint.  Surfaces apply the 1-D rule per row along
-the chi axis and then once along the n axis.
+Curves use PCHIP (Fritsch-Carlson slope limiting, with the one-sided
+three-point end slopes of Moler's pchiptx), which reproduces grid nodes
+exactly and never overshoots monotone data.  Queries outside a grid clamp
+to the nearest endpoint.  Surfaces apply the 1-D rule per row along the chi
+axis and then once along the n axis.  Curves are built per new chi on the
+selector's path, so building and evaluating one is plain Python on a few
+floats rather than a call into an array library.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 class InterpolationError(ValueError):
@@ -24,21 +28,71 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
+def _sign(v: float) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x: list[float], y: list[float]) -> list[float]:
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(y[k + 1] - y[k]) / h[k] for k in range(len(h))]
+    if len(m) == 1:
+        return [m[0], m[0]]
+    d = [_end_slope(h[0], h[1], m[0], m[1])]
+    for k in range(1, len(m)):
+        m0, m1 = m[k - 1], m[k]
+        if m0 == 0.0 or m1 == 0.0 or _sign(m0) != _sign(m1):
+            d.append(0.0)
+        else:  # weighted harmonic mean of the neighbouring secants
+            w1, w2 = 2.0 * h[k] + h[k - 1], h[k] + 2.0 * h[k - 1]
+            d.append((w1 + w2) / (w1 / m0 + w2 / m1))
+    d.append(_end_slope(h[-1], h[-2], m[-1], m[-2]))
+    return d
+
+
 class MonotoneCurve:
     def __init__(self, grid, values):
         self.grid = _check_grid(grid)
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise InterpolationError("values must match the grid length")
-        self._pchip = (
-            PchipInterpolator(self.grid, self.values) if self.grid.size > 1 else None
-        )
+        self._x = self.grid.tolist()
+        y = self.values.tolist()
+        self._pieces: list[tuple[float, float, float, float]] = []
+        if len(y) > 1:
+            d = _pchip_slopes(self._x, y)
+            for k in range(len(y) - 1):
+                h = self._x[k + 1] - self._x[k]
+                m = (y[k + 1] - y[k]) / h
+                t = (d[k] + d[k + 1] - 2.0 * m) / h
+                self._pieces.append((t / h, (m - d[k]) / h - t, d[k], y[k]))
+        self._y0 = y[0]
+        # queries repeat (qubit counts), so each distinct x is evaluated once
+        self._known: dict[float, float] = {}
 
     def __call__(self, x: float) -> float:
-        x = min(max(float(x), self.grid[0]), self.grid[-1])
-        if self._pchip is None:
-            return float(self.values[0])
-        return float(self._pchip(x))
+        y = self._known.get(x)
+        if y is None:
+            y = self._known[x] = self._evaluate(x)
+        return y
+
+    def _evaluate(self, x: float) -> float:
+        if not self._pieces:
+            return self._y0
+        xs = self._x
+        x = min(max(float(x), xs[0]), xs[-1])
+        k = min(bisect_right(xs, x), len(self._pieces)) - 1
+        c3, c2, c1, c0 = self._pieces[k]
+        t = x - xs[k]
+        return ((c3 * t + c2) * t + c1) * t + c0
 
 
 class TensorSurface:
@@ -66,11 +120,3 @@ class TensorSurface:
             curve = MonotoneCurve(self.grid_n, [row(chi) for row in self._rows])
             self._columns[chi] = curve
         return curve(n)
-
-
-def interpolate_1d(grid, values, x: float) -> float:
-    return MonotoneCurve(grid, values)(x)
-
-
-def interpolate_2d(grid_n, grid_chi, surface, n: float, chi: float) -> float:
-    return TensorSurface(grid_n, grid_chi, surface)(n, chi)

@@ -7,7 +7,9 @@ largest are dropped as numerically zero and the kept spectrum is renormalized,
 with the discarded weight accumulated on the state.  Gates on non-adjacent
 qubits ride swap chains, each swap itself a truncated two-site update.
 ``MpsState`` is the state the shot engine (``polysim.engine``) walks; terminal
-draws sweep the sites left to right with binomial splits.
+draws are one batched left-to-right sweep with binomial splits (Ferris &
+Vidal, arXiv:1201.3974).  The adaptive loop picks chi from the discarded
+weight of the run itself rather than from a separate check circuit.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from . import gates
 from .circuit import ONE_QUBIT_GATES, Circuit
 from .engine import run_shots
 from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
-from .result import BackendError, RunResult
+from .result import BackendError, RunResult, counts_by_row
 
 REL_CUTOFF = 1e-14
 DEFAULT_CHI_CAP = 256
@@ -179,34 +181,45 @@ class MpsState:
 
     def sample_terminal(
         self, shots: int, rng: np.random.Generator
-    ) -> list[tuple[int, int]]:
-        """Sample full bitstrings by sweeping sites left to right.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``shots`` full bitstrings in one batched left-to-right sweep.
 
         Shots are carried as counts and split binomially at each site, so the
         cost scales with the number of distinct outcome prefixes rather than
-        with the shot count.  Returns (basis_index, count) pairs.
+        with the shot count.  The live prefixes' environments are stacked into
+        one ``(B, chi_l)`` array: each site is one matmul with the site tensor
+        and one vector of binomial draws, taken in prefix order with every
+        prefix's "0" child ahead of its "1" child.  Returns a ``(B, n)`` uint8
+        matrix whose column q holds qubit q's outcome, and the ``B`` counts.
         """
         self.move_center(0)
-        norm = np.linalg.norm(self.tensors[0])
-        branches: list[tuple[np.ndarray, int, int]] = [
-            (np.ones(1, dtype=complex), shots, 0)
-        ]
+        env = np.ones((1, 1), dtype=complex)
+        counts = np.array([shots], dtype=np.int64)
+        parents: list[np.ndarray] = []
         for site in range(self.n):
-            a = self.tensors[site] / (norm if site == 0 else 1.0)
-            grown: list[tuple[np.ndarray, int, int]] = []
-            for env, count, code in branches:
-                b = np.tensordot(env, a, axes=(0, 0))  # (2, chi_r)
-                w0 = float(np.linalg.norm(b[0]) ** 2)
-                w1 = float(np.linalg.norm(b[1]) ** 2)
-                p0 = w0 / (w0 + w1)
-                c0 = int(rng.binomial(count, p0))
-                c1 = count - c0
-                if c0:
-                    grown.append((b[0] / np.linalg.norm(b[0]), c0, code))
-                if c1:
-                    grown.append((b[1] / np.linalg.norm(b[1]), c1, code | (1 << site)))
-            branches = grown
-        return [(code, count) for _, count, code in branches]
+            a = self.tensors[site]
+            chi_l, _, chi_r = a.shape
+            b = (env @ a.reshape(chi_l, 2 * chi_r)).reshape(-1, chi_r)  # row 2i + s
+            flat = b.view(np.float64)
+            w = np.einsum("ij,ij->i", flat, flat)  # squared norm of each row
+            p0 = w[0::2] / (w[0::2] + w[1::2])
+            # an array draw costs ~8 us against ~1.4 us for a scalar one, and a
+            # single live prefix is common: one-shot leaves, the first sites
+            c0 = rng.binomial(counts[0], p0[0]) if len(counts) == 1 else rng.binomial(counts, p0)
+            children = np.repeat(counts, 2)
+            children[0::2] = c0
+            children[1::2] -= c0
+            keep = np.flatnonzero(children)
+            env = b[keep] / np.sqrt(w[keep])[:, None]
+            counts = children[keep]
+            parents.append(keep)
+        bits = np.empty((len(counts), self.n), dtype=np.uint8)
+        row = np.arange(len(counts))
+        for site in range(self.n - 1, -1, -1):
+            kept = parents[site][row]
+            bits[:, site] = kept & 1
+            row = kept >> 1
+        return bits, counts
 
     def sample(self, measures, count: int, rng: np.random.Generator) -> dict[str, int]:
         """Counts of the measured clbits over ``count`` terminal draws."""
@@ -214,11 +227,8 @@ class MpsState:
         for qubit, clbit in measures:
             latest_source[clbit] = qubit
         sources = [latest_source[cl] for cl in sorted(latest_source, reverse=True)]
-        counts: dict[str, int] = {}
-        for code, k in self.sample_terminal(count, rng):
-            key = "".join("1" if code >> q & 1 else "0" for q in sources)
-            counts[key] = counts.get(key, 0) + k
-        return counts
+        bits, counts = self.sample_terminal(count, rng)
+        return counts_by_row(bits[:, sources], counts)
 
     # --- diagnostics -----------------------------------------------------------
 
@@ -244,8 +254,8 @@ def run(c: Circuit, shots: int, seed: int, chi_max: int) -> RunResult:
 
     The shot engine (``polysim.engine``) walks the MPS once per distinct
     history of the mid-circuit measurements and resets, copying it only
-    where shots split; terminal shots come from ``sample_terminal``.  The
-    reported truncation error is the largest over the walked paths.
+    where shots split; terminal shots come from one batched sweep per path.
+    The reported truncation error is the largest over the walked paths.
     """
     start = time.perf_counter()
     errors: list[float] = []
@@ -288,21 +298,22 @@ def run_with_fidelity_loop(
     chi_init: int = 4,
     chi_cap: int = DEFAULT_CHI_CAP,
 ) -> FidelityLoopResult:
-    """Double chi until the mirror-circuit fidelity clears the threshold.
+    """Double chi until the run's own fidelity estimate clears the threshold.
 
-    Each candidate chi is scored by running the circuit's unitary part
-    followed by its inverse and measuring how often the all-zeros string
-    comes back; the accepted chi then produces the reported run.
+    Each candidate chi runs the circuit once and is scored by 1 - eps, where
+    eps is the discarded weight summed along the worst path the shot engine
+    walked (Zhou, Stoudenmire & Waintal, arXiv:2002.07730), so mid-circuit
+    measurements and resets are scored on the circuit that actually runs.
+    The sum can exceed 1, so the score is clamped at 0.  The accepted run is
+    the reported one.
     """
-    from .metrics import mirror_fidelity
-
     chi = chi_init
     iterations = 0
     while chi <= chi_cap:
         iterations += 1
-        fidelity = mirror_fidelity(c, backend="mps", shots=shots, seed=seed, chi=chi)
+        result = run(c, shots, seed, chi_max=chi)
+        fidelity = max(0.0, 1.0 - result.metadata["truncation_error"])
         if fidelity >= threshold:
-            result = run(c, shots, seed, chi_max=chi)
             return FidelityLoopResult(result, chi, fidelity, iterations)
         chi *= 2
     raise ChiCapError(

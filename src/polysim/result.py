@@ -28,7 +28,6 @@ class RunResult:
     backend: str
     seed: int
     wall_time: float
-    predicted_time: float | None = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -90,12 +89,21 @@ def sample_measurement_groups(
     for pos, cl in enumerate(clbits):
         w, j = where[latest_source[cl]]
         bits[:, pos] = (rows[:, w] >> j) & 1
+    return counts_by_row(bits, freq)
+
+
+def counts_by_row(bits: np.ndarray, freq: np.ndarray) -> dict[str, int]:
+    """Counts keyed by each row of a 0/1 uint8 matrix read left to right.
+
+    Rows that read the same (they differ only in bits no key shows) add up.
+    """
+    width = bits.shape[1]
     text = (bits + ord("0")).tobytes().decode("ascii")
-    width = len(clbits)
     keys = [text[i:i + width] for i in range(0, len(text), width)]
-    if len(where) == len(set(latest_source.values())):
-        return dict(zip(keys, freq.tolist()))
-    counts: dict[str, int] = {}
-    for key, k in zip(keys, freq.tolist()):  # rows differing in unread qubits share a key
-        counts[key] = counts.get(key, 0) + k
+    freq = freq.tolist()
+    counts = dict(zip(keys, freq))
+    if len(counts) < len(keys):
+        counts = {}
+        for key, k in zip(keys, freq):
+            counts[key] = counts.get(key, 0) + k
     return counts

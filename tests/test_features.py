@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from polysim.circuit import Circuit, Instruction, is_clifford
-from polysim.features import extract_features
+from polysim.features import CircuitFeatures, extract_features
 from conftest import ghz, qft, random_circuit
 
 
@@ -119,3 +119,69 @@ def test_extract_features_is_deterministic():
     c = ghz(5)
     a, b = extract_features(c), extract_features(c)
     assert a == b
+
+
+def _reference_features(c: Circuit) -> CircuitFeatures:
+    """Each field recomputed on its own, by the definition, for comparison."""
+    ops = [inst for inst in c.instructions if inst.kind != "barrier"]
+
+    def kind_class(inst):
+        if inst.kind in ("measure", "reset"):
+            return inst.kind
+        if len(inst.qubits) == 2:
+            return "2q"
+        return "1q-clifford" if inst.kind in ("h", "x", "y", "z", "s", "sdg") else "1q-nonclifford"
+
+    counts = {k: 0 for k in ("1q-clifford", "1q-nonclifford", "2q", "measure", "reset")}
+    for inst in ops:
+        counts[kind_class(inst)] += 1
+    terminal_only = not any(inst.kind == "reset" for inst in ops) and all(
+        not (inst.is_unitary and any(
+            later.kind == "measure" and later.qubits[0] in inst.qubits for later in ops[:k]))
+        for k, inst in enumerate(ops)
+    )
+    levels = [0] * c.n_qubits
+    for inst in ops:
+        top = 1 + max(levels[q] for q in inst.qubits)
+        for q in inst.qubits:
+            levels[q] = top
+    graph: dict[tuple[int, int], int] = {}
+    for inst in ops:
+        if len(inst.qubits) == 2:
+            edge = tuple(sorted(inst.qubits))
+            graph[edge] = graph.get(edge, 0) + 1
+    proxy = max(
+        (sum(w for (a, b), w in graph.items() if a <= cut < b) for cut in range(c.n_qubits - 1)),
+        default=0,
+    )
+    return CircuitFeatures(
+        n_qubits=c.n_qubits,
+        total_gates=len(ops),
+        counts_by_class=counts,
+        is_clifford=is_clifford(c),
+        terminal_measurement_only=terminal_only,
+        depth=max(levels),
+        entanglement_proxy=proxy,
+        interaction_graph=graph,
+    )
+
+
+def test_matches_reference_on_random_circuits_with_mid_circuit_ops(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        base = random_circuit(n, int(rng.integers(0, 40)), rng, measured=False,
+                              clifford_only=bool(rng.random() < 0.3))
+        c = Circuit(n, n)
+        for inst in base.instructions:
+            roll = rng.random()
+            q = int(rng.integers(n))
+            if roll < 0.08:
+                c.measure(q, int(rng.integers(n)))
+            elif roll < 0.12:
+                c.append(Instruction("reset", (q,)))
+            elif roll < 0.16:
+                c.append(Instruction("barrier", tuple(sorted({q, int(rng.integers(n))}))))
+            c.append(inst)
+        if rng.random() < 0.7:
+            c.measure_all()
+        assert extract_features(c) == _reference_features(c)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polysim import metrics, mps, statevector, suite
-from polysim.circuit import Circuit
+from polysim.circuit import Circuit, Instruction
 
 from conftest import random_circuit
 
@@ -127,6 +127,38 @@ def test_fidelity_loop_doubles_until_threshold():
     first_try = mps.run_with_fidelity_loop(ghz8, shots=400, seed=5, chi_init=4)
     assert first_try.chi == 4
     assert first_try.iterations == 1
+
+
+def test_fidelity_loop_scores_mid_circuit_runs_by_worst_path():
+    c = Circuit(4, 4)
+    c.gate("ry", 0, params=(1.0,))
+    c.gate("ry", 2, params=(0.4,))
+    c.measure(0, 0)
+    c.gate("cx", 0, 2)
+    c.gate("ry", 2, params=(0.3,))
+    c.gate("cx", 2, 3)
+    c.measure(1, 1).measure(2, 2).measure(3, 3)
+    # chi 1 discards sin(0.05)^2 ~ 0.0025 on the rarer outcome-1 path, which
+    # is walked first, and sin(0.35)^2 ~ 0.12 on the outcome-0 path
+    out = mps.run_with_fidelity_loop(c, shots=400, seed=3, threshold=0.9, chi_init=1)
+    assert (out.chi, out.iterations, out.fidelity) == (2, 2, 1.0)
+
+    # the measured control leaves a product state that chi 1 holds exactly,
+    # and the reset is scored as run rather than stripped
+    collapsed = Circuit(2, 2)
+    collapsed.gate("h", 0).measure(0, 0).gate("cx", 0, 1)
+    collapsed.append(Instruction("reset", (0,)))
+    collapsed.measure(1, 1)
+    out = mps.run_with_fidelity_loop(collapsed, shots=400, seed=3, chi_init=1)
+    assert (out.chi, out.iterations, out.fidelity) == (1, 1, 1.0)
+
+
+def test_fidelity_loop_score_is_never_negative():
+    dense = suite.clifford_t_circuit(6, 80, seed=2)
+    assert mps.run(dense, shots=300, seed=6, chi_max=1).metadata["truncation_error"] > 1.0
+    out = mps.run_with_fidelity_loop(dense, shots=300, seed=6, threshold=0.0, chi_init=1)
+    assert out.chi == 1
+    assert out.fidelity == 0.0
 
 
 def test_fidelity_loop_raises_past_cap():

@@ -153,8 +153,8 @@ def test_random_state_sampling_matches_contraction(rng):
     amps = state.to_statevector()
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
     shots = 50_000
-    outcomes = state.sample_terminal(shots, np.random.default_rng(6))
-    counts = {format(code, "07b"): count for code, count in outcomes}
+    bits, freq = state.sample_terminal(shots, np.random.default_rng(6))
+    counts = {"".join(map(str, row[::-1])): int(k) for row, k in zip(bits, freq)}
     expected = {format(i, "07b"): p for i, p in enumerate(np.abs(amps) ** 2)}
     assert chisquare_pvalue(counts, expected, shots) > 1e-3
 
@@ -196,3 +196,58 @@ def test_mid_circuit_run_reports_worst_path_truncation():
     # outcome 0 leaves ry(0.7) on q2 and outcome 1 leaves ry(pi - 0.1);
     # the rarer outcome is walked first, the reported error is the worse one
     assert result.metadata["truncation_error"] == pytest.approx(math.sin(0.35) ** 2)
+
+
+def test_sweep_counts_repeat_and_stay_exact_past_63_qubits():
+    c = suite.qaoa_line_circuit(10, layers=2, seed=4)
+    state = mps._run_unitaries(c, chi_max=4)
+    bits, counts = state.sample_terminal(3000, np.random.default_rng(8))
+    assert counts.sum() == 3000
+    assert len(np.unique(bits, axis=0)) == len(bits)
+    again = state.sample_terminal(3000, np.random.default_rng(8))
+    assert np.array_equal(again[0], bits) and np.array_equal(again[1], counts)
+
+    wide = Circuit(70, 70)
+    for q in (0, 64, 69):
+        wide.gate("x", q)
+    wide.measure_all()
+    state = mps._run_unitaries(wide, chi_max=2)
+    bits, counts = state.sample_terminal(500, np.random.default_rng(1))
+    assert counts.tolist() == [500]
+    assert np.flatnonzero(bits[0]).tolist() == [0, 64, 69]
+    key = "".join("1" if q in (0, 64, 69) else "0" for q in reversed(range(70)))
+    assert mps.run(wide, shots=500, seed=1, chi_max=2).counts == {key: 500}
+
+
+def _branch_by_branch(state, shots, rng):
+    """The per-prefix sweep: one scalar binomial per live prefix and site."""
+    state.move_center(0)
+    branches = [(np.ones(1, dtype=complex), shots, 0)]
+    for site in range(state.n):
+        grown = []
+        for env, count, code in branches:
+            b = np.tensordot(env, state.tensors[site], axes=(0, 0))
+            w0, w1 = np.linalg.norm(b[0]) ** 2, np.linalg.norm(b[1]) ** 2
+            c0 = int(rng.binomial(count, w0 / (w0 + w1)))
+            for bit, k in ((0, c0), (1, count - c0)):
+                if k:
+                    grown.append((b[bit] / np.linalg.norm(b[bit]), k, code | bit << site))
+        branches = grown
+    return [(code, k) for _, k, code in branches]
+
+
+@pytest.mark.parametrize("width", [1, 7])
+def test_sweep_draws_in_the_order_of_the_branch_loop(width):
+    # uniform splits make every p0 exactly 1/2 on both sides, so the draws
+    # must agree exactly: same binomial calls, same prefix order
+    c = Circuit(width, 0)
+    for q in range(width):
+        c.gate("h", q)
+    if width > 1:
+        c.gate("cx", 0, width - 1)
+    state = mps._run_unitaries(c, chi_max=4)
+    bits, counts = state.sample_terminal(5000, np.random.default_rng(12))
+    codes = [sum(int(v) << q for q, v in enumerate(row)) for row in bits]
+    assert list(zip(codes, counts.tolist())) == _branch_by_branch(
+        state, 5000, np.random.default_rng(12)
+    )

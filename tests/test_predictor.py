@@ -17,13 +17,7 @@ from polysim.calibration import (
 )
 from polysim.circuit import Circuit, concat
 from polysim.features import extract_features
-from polysim.interpolate import (
-    InterpolationError,
-    MonotoneCurve,
-    TensorSurface,
-    interpolate_1d,
-    interpolate_2d,
-)
+from polysim.interpolate import InterpolationError, MonotoneCurve, TensorSurface
 from polysim.predictor import (
     PredictionError,
     estimate,
@@ -121,14 +115,32 @@ def test_surface_rejects_shape_mismatch():
         TensorSurface([4, 8], [2, 4], [[1.0, 2.0]])
 
 
-def test_functional_wrappers_match_classes():
+def test_surface_interpolates_rows_along_chi_then_the_column_along_n():
     grid = [1.0, 2.0, 4.0]
-    values = [1.0, 3.0, 9.0]
-    assert interpolate_1d(grid, values, 2.5) == MonotoneCurve(grid, values)(2.5)
     table = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]
-    assert interpolate_2d([2, 4], grid, table, 3.0, 2.5) == TensorSurface(
-        [2, 4], grid, table
-    )(3.0, 2.5)
+    column = [MonotoneCurve(grid, row)(2.5) for row in table]
+    assert TensorSurface([2, 4], grid, table)(3.0, 2.5) == MonotoneCurve([2, 4], column)(3.0)
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "any"])
+def test_curve_agrees_with_scipy_pchip(monotone):
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(17 if monotone else 18)
+    for _ in range(300):
+        size = int(rng.integers(2, 11))
+        grid = np.cumsum(rng.uniform(0.05, 5.0, size)) + rng.uniform(-3.0, 3.0)
+        steps = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-9, 2)
+        if monotone:
+            steps = np.abs(steps) * (1 if rng.random() < 0.5 else -1)
+        if rng.random() < 0.2:
+            steps[rng.integers(size)] = 0.0  # flat stretches hit the zero-slope rule
+        values = np.cumsum(steps)
+        curve = MonotoneCurve(grid, values)
+        reference = PchipInterpolator(grid, values)
+        scale = float(np.max(np.abs(values)))
+        for x in np.concatenate([grid, rng.uniform(grid[0], grid[-1], 20)]):
+            assert curve(x) == pytest.approx(float(reference(x)), rel=1e-10, abs=1e-10 * scale)
 
 
 # ----------------------------------------------------------- synthetic models
