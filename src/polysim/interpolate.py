@@ -74,22 +74,16 @@ class MonotoneCurve:
                 m = (y[k + 1] - y[k]) / h
                 t = (d[k] + d[k + 1] - 2.0 * m) / h
                 self._pieces.append((t / h, (m - d[k]) / h - t, d[k], y[k]))
-        self._y0 = y[0]
-        # queries repeat (qubit counts), so each distinct x is evaluated once
-        self._known: dict[float, float] = {}
+        self._ends = (y[0], y[-1])
 
     def __call__(self, x: float) -> float:
-        y = self._known.get(x)
-        if y is None:
-            y = self._known[x] = self._evaluate(x)
-        return y
-
-    def _evaluate(self, x: float) -> float:
-        if not self._pieces:
-            return self._y0
+        x = float(x)
         xs = self._x
-        x = min(max(float(x), xs[0]), xs[-1])
-        k = min(bisect_right(xs, x), len(self._pieces)) - 1
+        if x <= xs[0]:
+            return self._ends[0]
+        if x >= xs[-1]:
+            return self._ends[1]
+        k = bisect_right(xs, x) - 1
         c3, c2, c1, c0 = self._pieces[k]
         t = x - xs[k]
         return ((c3 * t + c2) * t + c1) * t + c0
@@ -110,8 +104,13 @@ class TensorSurface:
         self.values = table
         self._rows = [MonotoneCurve(self.grid_chi, row) for row in table]
         # chi values repeat heavily across queries (powers of two from the
-        # selection policy), so the derived n-curve is cached per chi.
-        self._columns: dict[float, MonotoneCurve] = {}
+        # selection policy), so the derived n-curve is kept per chi; at a
+        # grid chi it is the table's column, built here rather than on the
+        # selector's first query.
+        self._columns = {
+            chi: MonotoneCurve(self.grid_n, table[:, j])
+            for j, chi in enumerate(self.grid_chi.tolist())
+        }
 
     def __call__(self, n: float, chi: float) -> float:
         chi = float(chi)

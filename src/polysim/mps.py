@@ -191,11 +191,15 @@ class MpsState:
         and one vector of binomial draws, taken in prefix order with every
         prefix's "0" child ahead of its "1" child.  Returns a ``(B, n)`` uint8
         matrix whose column q holds qubit q's outcome, and the ``B`` counts.
+
+        Each site keeps its new bit per prefix, and a parent map only where
+        some prefix split; where none did, every prefix stays in its row.
         """
         self.move_center(0)
         env = np.ones((1, 1), dtype=complex)
         counts = np.array([shots], dtype=np.int64)
-        parents: list[np.ndarray] = []
+        site_bits: list[np.ndarray] = []
+        parents: list[np.ndarray | None] = []
         for site in range(self.n):
             a = self.tensors[site]
             chi_l, _, chi_r = a.shape
@@ -211,14 +215,18 @@ class MpsState:
             children[1::2] -= c0
             keep = np.flatnonzero(children)
             env = b[keep] / np.sqrt(w[keep])[:, None]
+            # a row index is below the number of live prefixes, which no
+            # in-memory (B, chi) environment lets reach 2**31
+            parents.append(None if len(keep) == len(counts) else (keep >> 1).astype(np.int32))
+            site_bits.append((keep & 1).astype(np.uint8))
             counts = children[keep]
-            parents.append(keep)
         bits = np.empty((len(counts), self.n), dtype=np.uint8)
-        row = np.arange(len(counts))
+        row = None  # the final row each prefix at this site ends up in
         for site in range(self.n - 1, -1, -1):
-            kept = parents[site][row]
-            bits[:, site] = kept & 1
-            row = kept >> 1
+            bits[:, site] = site_bits[site] if row is None else site_bits[site][row]
+            parent = parents[site]
+            if parent is not None:
+                row = parent if row is None else parent[row]
         return bits, counts
 
     def sample(self, measures, count: int, rng: np.random.Generator) -> dict[str, int]:

@@ -115,6 +115,17 @@ def test_surface_rejects_shape_mismatch():
         TensorSurface([4, 8], [2, 4], [[1.0, 2.0]])
 
 
+def test_surface_at_a_grid_chi_reads_the_same_column_the_rows_give():
+    grid_n, grid_chi = [4, 8, 16], [2, 4, 8, 16]
+    table = np.random.default_rng(4).uniform(1e-9, 1e-7, size=(3, 4))
+    surface = TensorSurface(grid_n, grid_chi, table)
+    rows = [MonotoneCurve(grid_chi, row) for row in table]
+    for chi in grid_chi:
+        column = MonotoneCurve(grid_n, [row(chi) for row in rows])
+        for n in (2.0, 4.0, 5.5, 11.0, 16.0, 40.0):
+            assert surface(n, chi) == column(n)
+
+
 def test_surface_interpolates_rows_along_chi_then_the_column_along_n():
     grid = [1.0, 2.0, 4.0]
     table = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]
