@@ -1,15 +1,10 @@
-"""Fidelity metrics and the public sampling entry points."""
+"""Fidelity metrics."""
 from __future__ import annotations
 
 import math
 
 from .circuit import Circuit, inverse_circuit, unitary_part
-from .sampling import AliasTable, SamplingError, counts_to_distribution
-
-
-def build_alias(distribution: dict[str, float]) -> AliasTable:
-    """Alias table over a bitstring distribution; outcomes sorted for determinism."""
-    return AliasTable.from_distribution(distribution)
+from .sampling import SamplingError
 
 
 def _normalize(counts_or_probs: dict[str, float]) -> dict[str, float]:

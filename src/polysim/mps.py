@@ -236,7 +236,9 @@ class MpsState:
             latest_source[clbit] = qubit
         sources = [latest_source[cl] for cl in sorted(latest_source, reverse=True)]
         bits, counts = self.sample_terminal(count, rng)
-        return counts_by_row(bits[:, sources], counts)
+        measured = bits[:, sources]  # a copy: fancy indexing
+        del bits  # free the full matrix before the keys are built
+        return counts_by_row(measured, counts)
 
     # --- diagnostics -----------------------------------------------------------
 
@@ -283,11 +285,6 @@ def run(c: Circuit, shots: int, seed: int, chi_max: int) -> RunResult:
         wall_time=wall,
         metadata={"chi_max": chi_max, "truncation_error": max(errors)},
     )
-
-
-def final_truncation_error(c: Circuit, chi_max: int) -> float:
-    """Accumulated discarded weight after the circuit's unitary part."""
-    return _run_unitaries(c, chi_max).truncation_error
 
 
 class FidelityLoopResult:

@@ -3,7 +3,8 @@
 Placement runs in two phases: greedy growth seeded from the heaviest
 interaction edges, then Kernighan-Lin style refinement that keeps applying
 the best improving swap or move until none exists.  Both phases iterate in
-sorted order, so results are reproducible for a fixed seed.
+sorted order and break ties by index, so a plan depends only on the circuit
+and the layout.
 """
 from __future__ import annotations
 
@@ -72,15 +73,12 @@ def _cut_weight(edges: dict[tuple[int, int], int], assign: dict[int, int]) -> in
     return sum(w for (a, b), w in edges.items() if assign[a] != assign[b])
 
 
-def partition_circuit(c: Circuit, layout: VqpuLayout, seed: int) -> PartitionPlan:
+def partition_circuit(c: Circuit, layout: VqpuLayout) -> PartitionPlan:
     n = c.n_qubits
     if n > layout.k * layout.capacity:
         raise PartitionError(
             f"{n} qubits exceed {layout.k} vQPUs x {layout.capacity}"
         )
-    # Both phases break ties by index, so the outcome is the same for every
-    # seed; the parameter stays so callers can thread one through uniformly.
-    del seed
     edges = dict(extract_features(c).interaction_graph)
 
     if layout.k == 1:

@@ -242,8 +242,8 @@ class _DistProgram:
     comm_pair: dict[tuple[int, int], tuple[int, int]]
 
 
-def _build_program(c: Circuit, layout: VqpuLayout, seed: int) -> _DistProgram:
-    plan = partition_circuit(c, layout, seed)
+def _build_program(c: Circuit, layout: VqpuLayout) -> _DistProgram:
+    plan = partition_circuit(c, layout)
     perm = plan.permutation
     vqpu_of = [0] * c.n_qubits
     slot = 0
@@ -335,7 +335,7 @@ def run_distributed(c: Circuit, layout: VqpuLayout, shots: int, seed: int) -> Ru
     outcomes and the engine's splits and draws share one generator.
     """
     start = time.perf_counter()
-    program = _build_program(c, layout, seed)
+    program = _build_program(c, layout)
     trace: list[int] = []
     gadget_stats: list[dict] = []
     rng = np.random.default_rng(seed)

@@ -1,33 +1,46 @@
 """OpenQASM 2.0 front end.
 
-Supports the qelib1-style gate subset of the IR, multiple quantum and
-classical registers (flattened to global indices in declaration order),
-register broadcasting, and constant angle arithmetic.  Gate definitions,
-opaque declarations and classical conditionals are rejected.
+Accepts the qelib1-style gate subset of the IR (h x y z s sdg t tdg rx ry rz
+u cx cz swap, with u3, U and CX as aliases), measure, reset and barrier,
+multiple quantum and classical registers (flattened to global indices in
+declaration order), register broadcasting, and constant angle arithmetic.
+Gate definitions, opaque declarations and classical conditionals are
+rejected.
+
+A source costs one regex scan and one pass over the tokens it yields.  Tokens
+are plain strings, told apart by their first character, and the parser keeps
+only their index: the line and column of an error (both 1-based) are worked
+out from the source when the error is raised.  Equal instructions of one
+file share one Instruction object, unless an angle is zero.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from string import ascii_letters
 
-from .circuit import PARAM_COUNTS, Circuit, CircuitError, Instruction
+from .circuit import PARAM_COUNTS, UNITARY_GATES, Circuit, CircuitError, Instruction
 
-_GATE_ALIASES = {"u3": "u", "U": "u", "CX": "cx"}
+# Accepted gate names, aliases included, and the IR kind each one becomes.
+_GATES = {kind: kind for kind in UNITARY_GATES} | {"u3": "u", "U": "u", "CX": "cx"}
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-  | (?P<int>\d+)
-  | (?P<id>[a-zA-Z_][a-zA-Z0-9_]*)
-  | (?P<arrow>->)
-  | (?P<string>"[^"\n]*")
-  | (?P<sym>[{}()\[\];,+\-*/^=])
-    """,
-    re.VERBOSE,
-)
+_ID_START = frozenset(ascii_letters + "_")
+
+_SKIP = r"\s+|//[^\n]*"
+# Alternatives that start alike are ordered as a longest match would take
+# them; the rest go most common first.
+_TOKEN = r"""
+    [a-zA-Z_][a-zA-Z0-9_]*
+  | [\[\];,(){}+*^=]
+  | \d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?   # int, or real with . or e
+  | ->|[-/]
+  | "[^"\n]*"
+"""
+# Whitespace and comments match outside the group, so findall returns them
+# as empty strings; the last alternative takes a character no token starts.
+_SCAN_RE = re.compile(rf"{_SKIP}|({_TOKEN}|.)", re.VERBOSE)
+# The same scan for error positions: group 1 a token, group 2 a stray character.
+_LOCATE_RE = re.compile(rf"{_SKIP}|({_TOKEN})|(.)", re.VERBOSE)
 
 _FUNCTIONS = {
     "sin": math.sin,
@@ -48,277 +61,339 @@ class QasmError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Failure(Exception):
+    """A parse failure at token index ``at``; None stands for the first column of line 1."""
+
+    def __init__(self, at: int | None, message: str):
+        super().__init__(message)
+        self.at = at
+        self.message = message
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QasmError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, m.start() - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + chunk.rindex("\n") + 1
-        pos = m.end()
-    return tokens
+def _rescan(text: str) -> tuple[list[int], QasmError | None]:
+    """The start offset of every token, and the error for the first stray character.
+
+    Every character is tokenized before any statement is read, so a stray
+    character anywhere is the error to report, ahead of any other.
+    """
+    starts = []
+    for m in _LOCATE_RE.finditer(text):
+        if m.lastindex == 2:
+            return starts, _error_at(text, m.start(), f"unexpected character {m.group()!r}")
+        if m.lastindex == 1:
+            starts.append(m.start())
+    return starts, None
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _locate(text: str, failure: _Failure) -> QasmError:
+    """Turn a failure into a QasmError by scanning the source once more.
 
-    def _err(self, message: str) -> QasmError:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            return QasmError(message + " (at end of input)", last.line, last.col)
-        return QasmError(message, tok.line, tok.col)
+    A failure past the last token reads "(at end of input)" at the last token.
+    """
+    starts, stray = _rescan(text)
+    if stray is not None:
+        return stray
+    at, message = failure.at, failure.message
+    if at is not None and at >= len(starts):
+        message += " (at end of input)"
+        at = len(starts) - 1 if starts else None
+    if at is None:
+        return QasmError(message, 1, 1)
+    return _error_at(text, starts[at], message)
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise self._err("unexpected end of input")
-        self.pos += 1
-        return tok
+def _error_at(text: str, offset: int, message: str) -> QasmError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return QasmError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
-            raise self._err(f"expected {text!r}")
-        return self.next()
 
-    def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.text == text:
-            self.pos += 1
-            return True
-        return False
+def _end_or(token: str, message: str) -> str:
+    # the end marker is the empty token; reading past it is its own error
+    return message if token else "unexpected end of input"
 
-    # --- angle expressions ------------------------------------------------
 
-    def parse_expr(self) -> float:
-        value = self.parse_term()
-        while True:
-            if self.accept("+"):
-                value += self.parse_term()
-            elif self.accept("-"):
-                value -= self.parse_term()
+# --- angle expressions: recursive descent over (tokens, index) ---------------
+
+
+def _expr(toks: list[str], i: int) -> tuple[float, int]:
+    value, i = _term(toks, i)
+    while True:
+        op = toks[i]
+        if op == "+":
+            rhs, i = _term(toks, i + 1)
+            value += rhs
+        elif op == "-":
+            rhs, i = _term(toks, i + 1)
+            value -= rhs
+        else:
+            return value, i
+
+
+def _term(toks: list[str], i: int) -> tuple[float, int]:
+    value, i = _factor(toks, i)
+    while True:
+        op = toks[i]
+        if op == "*":
+            rhs, i = _factor(toks, i + 1)
+            value *= rhs
+        elif op == "/":
+            rhs, i = _factor(toks, i + 1)
+            value /= rhs
+        else:
+            return value, i
+
+
+def _factor(toks: list[str], i: int) -> tuple[float, int]:
+    if toks[i] == "-":
+        value, i = _factor(toks, i + 1)
+        return -value, i
+    if toks[i] == "+":
+        return _factor(toks, i + 1)
+    base, i = _atom(toks, i)
+    if toks[i] == "^":
+        exponent, i = _factor(toks, i + 1)
+        return base ** exponent, i
+    return base, i
+
+
+def _atom(toks: list[str], i: int) -> tuple[float, int]:
+    tok = toks[i]
+    head = tok[:1]
+    if head.isdecimal() or (head == "." and len(tok) > 1):
+        return float(tok), i + 1
+    if head in _ID_START:
+        if tok == "pi":
+            return math.pi, i + 1
+        if tok in _FUNCTIONS:
+            if toks[i + 1] != "(":
+                raise _Failure(i + 1, "expected '('")
+            arg, i = _expr(toks, i + 2)
+            if toks[i] != ")":
+                raise _Failure(i, "expected ')'")
+            return _FUNCTIONS[tok](arg), i + 1
+        raise _Failure(i, f"unknown identifier in expression: {tok}")
+    if tok == "(":
+        value, i = _expr(toks, i + 1)
+        if toks[i] != ")":
+            raise _Failure(i, "expected ')'")
+        return value, i + 1
+    raise _Failure(i, _end_or(tok, f"unexpected token {tok!r} in expression"))
+
+
+# --- statements ---------------------------------------------------------------
+
+
+def _operand(toks: list[str], i: int, regs: dict, what: str):
+    """Read ``name[int]`` or a bare register ``name`` at token i.
+
+    Returns what it names and the index of the next token.  What it names is
+    a global index for ``name[int]``, a list of them for a whole register, or,
+    for an undeclared register or an index out of range, the _Failure to raise
+    once the rest of the statement has been read: the parser reports a
+    statement's syntax before its registers.
+    """
+    name = toks[i]
+    if name[:1] not in _ID_START:
+        raise _Failure(i, _end_or(name, f"expected a register name, got {name!r}"))
+    reg = regs.get(name)
+    if toks[i + 1] != "[":
+        if reg is None:
+            return _Failure(i, f"undeclared {what} register {name!r}"), i + 1
+        offset, size = reg
+        return list(range(offset, offset + size)), i + 1
+    index = toks[i + 2]
+    if not index.isdecimal():
+        raise _Failure(i + 2, _end_or(index, "expected an integer index"))
+    if toks[i + 3] != "]":
+        raise _Failure(i + 3, "expected ']'")
+    if reg is None:
+        return _Failure(i, f"undeclared {what} register {name!r}"), i + 4
+    index = int(index)
+    if index >= reg[1]:
+        return _Failure(i, f"index {index} out of range for {name}[{reg[1]}]"), i + 4
+    return reg[0] + index, i + 4
+
+
+def _operands(toks: list[str], i: int, qregs: dict) -> tuple[list, bool, int]:
+    """Read comma-separated quantum operands and the ';' after them.
+
+    Returns the operands as _operand gives them, whether every one is a
+    global index, and the index of the token after the ';'.
+    """
+    args = []
+    plain = True
+    while True:
+        arg, i = _operand(toks, i, qregs, "quantum")
+        args.append(arg)
+        plain = plain and type(arg) is int
+        if toks[i] != ",":
+            break
+        i += 1
+    if toks[i] != ";":
+        raise _Failure(i, "expected ';'")
+    return args, plain, i + 1
+
+
+def _params(toks: list[str], i: int) -> tuple[tuple[float, ...], int]:
+    """Read ``(expr, ...)`` from the "(" at token i."""
+    value, i = _expr(toks, i + 1)
+    values = [value]
+    while toks[i] == ",":
+        value, i = _expr(toks, i + 1)
+        values.append(value)
+    if toks[i] != ")":
+        raise _Failure(i, "expected ')'")
+    return tuple(values), i + 1
+
+
+def _groups(args: list) -> list[list[int]]:
+    """Each operand as a list of global indices, raising the first bad register."""
+    groups = []
+    for arg in args:
+        if isinstance(arg, _Failure):
+            raise arg
+        groups.append([arg] if type(arg) is int else arg)
+    return groups
+
+
+def _broadcast(groups: list[list[int]], start: int) -> list[tuple[int, ...]]:
+    """Rows of a statement whose operands include whole registers."""
+    length = 1
+    for g in groups:
+        if len(g) > 1:
+            if length > 1 and len(g) != length:
+                raise _Failure(start, "mismatched register sizes")
+            length = len(g)
+    return [tuple(g[i] if len(g) > 1 else g[0] for g in groups) for i in range(length)]
+
+
+def _statements(toks: list[str]) -> tuple[int, int, list[Instruction]]:
+    """Read the statements after the header: qubit count, clbit count, instructions."""
+    qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
+    cregs: dict[str, tuple[int, int]] = {}
+    n_qubits = n_clbits = 0
+    instructions: list[Instruction] = []
+    emit = instructions.append
+    # Instruction is frozen, so equal instructions share one object.  0.0 and
+    # -0.0 are one key but different parameters, so a zero is never shared.
+    shared: dict[tuple, Instruction] = {}
+
+    def instruction(kind: str, qubits: tuple[int, ...], params=(), clbit=None) -> Instruction:
+        key = (kind, qubits, params, clbit)
+        inst = shared.get(key)
+        if inst is None or 0.0 in params:
+            inst = shared[key] = Instruction(kind, qubits, params, clbit)
+        return inst
+
+    i = 3
+    while toks[i]:
+        start = i
+        word = toks[i]
+        kind = _GATES.get(word)
+        if kind is not None:
+            params, i = _params(toks, i + 1) if toks[i + 1] == "(" else ((), i + 1)
+            if len(params) != PARAM_COUNTS.get(kind, 0):
+                raise _Failure(start, f"{word} expects {PARAM_COUNTS.get(kind, 0)} parameter(s)")
+            args, plain, i = _operands(toks, i, qregs)
+            rows = [tuple(args)] if plain else _broadcast(_groups(args), start)
+            try:
+                for row in rows:
+                    emit(instruction(kind, row, params))
+            except CircuitError as exc:
+                raise _Failure(start, str(exc)) from None
+        elif word == "measure":
+            src, i = _operand(toks, i + 1, qregs, "quantum")
+            if toks[i] != "->":
+                raise _Failure(i, "expected '->'")
+            dst, i = _operand(toks, i + 1, cregs, "classical")
+            if toks[i] != ";":
+                raise _Failure(i, "expected ';'")
+            i += 1
+            qubits, clbits = _groups([src, dst])
+            if len(qubits) != len(clbits):
+                raise _Failure(start, "measure register sizes differ")
+            for q, c in zip(qubits, clbits):
+                emit(instruction("measure", (q,), clbit=c))
+        elif word == "reset":
+            arg, i = _operand(toks, i + 1, qregs, "quantum")
+            if toks[i] != ";":
+                raise _Failure(i, "expected ';'")
+            i += 1
+            for q in _groups([arg])[0]:
+                emit(instruction("reset", (q,)))
+        elif word == "barrier":
+            args, _, i = _operands(toks, i + 1, qregs)
+            qubits = tuple(q for g in _groups(args) for q in g)
+            try:
+                emit(instruction("barrier", qubits))
+            except CircuitError as exc:
+                raise _Failure(start, str(exc)) from None
+        elif word in ("qreg", "creg"):
+            name = toks[i + 1]
+            if name[:1] not in _ID_START:
+                raise _Failure(i + 1, _end_or(name, "expected a register name"))
+            if toks[i + 2] != "[":
+                raise _Failure(i + 2, "expected '['")
+            size = toks[i + 3]
+            if not size.isdecimal() or int(size) < 1:
+                raise _Failure(i + 3, _end_or(size, "register size must be a positive integer"))
+            if toks[i + 4] != "]":
+                raise _Failure(i + 4, "expected ']'")
+            if toks[i + 5] != ";":
+                raise _Failure(i + 5, "expected ';'")
+            i += 6
+            if name in qregs or name in cregs:
+                raise _Failure(start + 1, f"register {name!r} already declared")
+            if word == "qreg":
+                qregs[name] = (n_qubits, int(size))
+                n_qubits += int(size)
             else:
-                return value
-
-    def parse_term(self) -> float:
-        value = self.parse_factor()
-        while True:
-            if self.accept("*"):
-                value *= self.parse_factor()
-            elif self.accept("/"):
-                value /= self.parse_factor()
-            else:
-                return value
-
-    def parse_factor(self) -> float:
-        if self.accept("-"):
-            return -self.parse_factor()
-        if self.accept("+"):
-            return self.parse_factor()
-        base = self.parse_atom()
-        if self.accept("^"):
-            return base ** self.parse_factor()
-        return base
-
-    def parse_atom(self) -> float:
-        tok = self.next()
-        if tok.kind in ("real", "int"):
-            return float(tok.text)
-        if tok.kind == "id":
-            if tok.text == "pi":
-                return math.pi
-            if tok.text in _FUNCTIONS:
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                return _FUNCTIONS[tok.text](arg)
-            raise QasmError(f"unknown identifier in expression: {tok.text}", tok.line, tok.col)
-        if tok.text == "(":
-            value = self.parse_expr()
-            self.expect(")")
-            return value
-        raise QasmError(f"unexpected token {tok.text!r} in expression", tok.line, tok.col)
+                cregs[name] = (n_clbits, int(size))
+                n_clbits += int(size)
+        elif word == "include":
+            path = toks[i + 1]
+            if path != '"qelib1.inc"':
+                raise _Failure(i + 1, _end_or(path, f"unsupported include {path}"))
+            if toks[i + 2] != ";":
+                raise _Failure(i + 2, "expected ';'")
+            i += 3
+        elif word == "if":
+            raise _Failure(i, "classical conditionals are not supported")
+        elif word in ("gate", "opaque"):
+            raise _Failure(i, f"{word} definitions are not supported")
+        elif word[:1] in _ID_START:
+            raise _Failure(i, f"unsupported gate {word!r}")
+        else:
+            raise _Failure(i, f"unexpected token {word!r}")
+    if n_qubits == 0:
+        raise _Failure(None, "no quantum register declared")
+    return n_qubits, n_clbits, instructions
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     """Parse OpenQASM 2.0 source text into a Circuit."""
-    p = _Parser(_tokenize(text))
-
-    tok = p.peek()
-    if tok is None or tok.text != "OPENQASM":
-        raise QasmError("expected OPENQASM 2.0 header", 1, 1)
-    p.next()
-    version = p.next()
-    if version.kind != "real" or not version.text.startswith("2."):
-        raise QasmError(f"unsupported version {version.text!r}", version.line, version.col)
-    p.expect(";")
-
-    qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
-    cregs: dict[str, tuple[int, int]] = {}
-    n_qubits = 0
-    n_clbits = 0
-    instructions: list[Instruction] = []
-
-    def parse_argument() -> tuple[str, int | None, _Token]:
-        tok = p.next()
-        if tok.kind != "id":
-            raise QasmError(f"expected a register name, got {tok.text!r}", tok.line, tok.col)
-        index = None
-        if p.accept("["):
-            idx_tok = p.next()
-            if idx_tok.kind != "int":
-                raise QasmError("expected an integer index", idx_tok.line, idx_tok.col)
-            index = int(idx_tok.text)
-            p.expect("]")
-        return tok.text, index, tok
-
-    def resolve(regs: dict[str, tuple[int, int]], arg, what: str) -> list[int]:
-        reg_name, index, tok = arg
-        if reg_name not in regs:
-            raise QasmError(f"undeclared {what} register {reg_name!r}", tok.line, tok.col)
-        offset, size = regs[reg_name]
-        if index is None:
-            return [offset + i for i in range(size)]
-        if not 0 <= index < size:
-            raise QasmError(
-                f"index {index} out of range for {reg_name}[{size}]", tok.line, tok.col
-            )
-        return [offset + index]
-
-    def broadcast(groups: list[list[int]], tok: _Token) -> list[tuple[int, ...]]:
-        length = 1
-        for g in groups:
-            if len(g) > 1:
-                if length > 1 and len(g) != length:
-                    raise QasmError("mismatched register sizes", tok.line, tok.col)
-                length = len(g)
-        rows = []
-        for i in range(length):
-            rows.append(tuple(g[i] if len(g) > 1 else g[0] for g in groups))
-        return rows
-
-    while p.peek() is not None:
-        tok = p.next()
-        if tok.text == "include":
-            inc = p.next()
-            if inc.text != '"qelib1.inc"':
-                raise QasmError(f"unsupported include {inc.text}", inc.line, inc.col)
-            p.expect(";")
-            continue
-        if tok.text in ("qreg", "creg"):
-            name_tok = p.next()
-            if name_tok.kind != "id":
-                raise QasmError("expected a register name", name_tok.line, name_tok.col)
-            p.expect("[")
-            size_tok = p.next()
-            if size_tok.kind != "int" or int(size_tok.text) < 1:
-                raise QasmError("register size must be a positive integer", size_tok.line, size_tok.col)
-            p.expect("]")
-            p.expect(";")
-            size = int(size_tok.text)
-            regs = qregs if tok.text == "qreg" else cregs
-            if name_tok.text in qregs or name_tok.text in cregs:
-                raise QasmError(f"register {name_tok.text!r} already declared", name_tok.line, name_tok.col)
-            if tok.text == "qreg":
-                regs[name_tok.text] = (n_qubits, size)
-                n_qubits += size
-            else:
-                regs[name_tok.text] = (n_clbits, size)
-                n_clbits += size
-            continue
-        if tok.text == "if":
-            raise QasmError("classical conditionals are not supported", tok.line, tok.col)
-        if tok.text in ("gate", "opaque"):
-            raise QasmError(f"{tok.text} definitions are not supported", tok.line, tok.col)
-        if tok.text == "measure":
-            src = parse_argument()
-            p.expect("->")
-            dst = parse_argument()
-            p.expect(";")
-            qubits = resolve(qregs, src, "quantum")
-            clbits = resolve(cregs, dst, "classical")
-            if len(qubits) != len(clbits):
-                raise QasmError("measure register sizes differ", tok.line, tok.col)
-            for q, c in zip(qubits, clbits):
-                instructions.append(Instruction("measure", (q,), clbit=c))
-            continue
-        if tok.text == "reset":
-            arg = parse_argument()
-            p.expect(";")
-            for q in resolve(qregs, arg, "quantum"):
-                instructions.append(Instruction("reset", (q,)))
-            continue
-        if tok.text == "barrier":
-            args = [parse_argument()]
-            while p.accept(","):
-                args.append(parse_argument())
-            p.expect(";")
-            qubits: list[int] = []
-            for arg in args:
-                qubits.extend(resolve(qregs, arg, "quantum"))
-            try:
-                instructions.append(Instruction("barrier", tuple(qubits)))
-            except CircuitError as exc:
-                raise QasmError(str(exc), tok.line, tok.col) from None
-            continue
-        if tok.kind == "id":
-            kind = _GATE_ALIASES.get(tok.text, tok.text)
-            if kind not in PARAM_COUNTS and kind not in (
-                "h", "x", "y", "z", "s", "sdg", "t", "tdg", "cx", "cz", "swap",
-            ):
-                raise QasmError(f"unsupported gate {tok.text!r}", tok.line, tok.col)
-            params: tuple[float, ...] = ()
-            if p.peek() is not None and p.peek().text == "(":
-                p.expect("(")
-                values = [p.parse_expr()]
-                while p.accept(","):
-                    values.append(p.parse_expr())
-                p.expect(")")
-                params = tuple(values)
-            if len(params) != PARAM_COUNTS.get(kind, 0):
-                raise QasmError(
-                    f"{tok.text} expects {PARAM_COUNTS.get(kind, 0)} parameter(s)",
-                    tok.line,
-                    tok.col,
-                )
-            args = [parse_argument()]
-            while p.accept(","):
-                args.append(parse_argument())
-            p.expect(";")
-            groups = [resolve(qregs, arg, "quantum") for arg in args]
-            for row in broadcast(groups, tok):
-                try:
-                    instructions.append(Instruction(kind, row, params))
-                except CircuitError as exc:
-                    raise QasmError(str(exc), tok.line, tok.col) from None
-            continue
-        raise QasmError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-
-    if n_qubits == 0:
-        raise QasmError("no quantum register declared", 1, 1)
+    # A stray character becomes a one-character token here and is reported
+    # only once some check fails: every token is accepted by an exact
+    # comparison or a kind check that a stray character cannot pass.
+    toks = list(filter(None, _SCAN_RE.findall(text)))
+    toks.append("")  # end marker: no check accepts it
+    try:
+        if toks[0] != "OPENQASM":
+            raise _Failure(None, "expected OPENQASM 2.0 header")
+        if not toks[1].startswith("2."):
+            raise _Failure(1, _end_or(toks[1], f"unsupported version {toks[1]!r}"))
+        if toks[2] != ";":
+            raise _Failure(2, "expected ';'")
+        n_qubits, n_clbits, instructions = _statements(toks)
+    except _Failure as failure:
+        raise _locate(text, failure) from None
+    except (ArithmeticError, ValueError, TypeError, RecursionError):
+        # angle arithmetic raises its own errors (1/0, sqrt(-1), sin of a
+        # complex, deep nesting), which a stray character still comes ahead of
+        stray = _rescan(text)[1]
+        if stray is not None:
+            raise stray from None
+        raise
     return Circuit(n_qubits, n_clbits, instructions, name=name)
 
 

@@ -95,10 +95,13 @@ def sample_measurement_groups(
 def counts_by_row(bits: np.ndarray, freq: np.ndarray) -> dict[str, int]:
     """Counts keyed by each row of a 0/1 uint8 matrix read left to right.
 
-    Rows that read the same (they differ only in bits no key shows) add up.
+    Consumes ``bits``: the ASCII offset is added in place, so a caller passes
+    a C-ordered matrix of its own and does not read it afterwards.  Rows that
+    read the same (they differ only in bits no key shows) add up.
     """
     width = bits.shape[1]
-    text = (bits + ord("0")).tobytes().decode("ascii")
+    bits += ord("0")
+    text = str(bits.reshape(-1).data, "ascii")  # decoded from the buffer, no bytes copy
     keys = [text[i:i + width] for i in range(0, len(text), width)]
     freq = freq.tolist()
     counts = dict(zip(keys, freq))

@@ -80,7 +80,10 @@ def test_bond_dims_respect_cap_and_geometry(rng):
     ids=["ghz", "qaoa_line"],
 )
 def test_truncation_error_shrinks_as_chi_grows(circuit):
-    errors = [mps.final_truncation_error(circuit, chi) for chi in (1, 2, 4, 8)]
+    errors = [
+        mps.run(circuit, shots=10, seed=0, chi_max=chi).metadata["truncation_error"]
+        for chi in (1, 2, 4, 8)
+    ]
     assert all(e >= 0.0 for e in errors)
     for tighter, looser in zip(errors[1:], errors[:-1]):
         assert tighter <= looser + 1e-12
@@ -88,7 +91,8 @@ def test_truncation_error_shrinks_as_chi_grows(circuit):
 
 
 def test_ghz_truncation_error_is_zero_at_chi_two():
-    assert mps.final_truncation_error(suite.ghz_circuit(10), chi_max=2) == 0.0
+    result = mps.run(suite.ghz_circuit(10), shots=10, seed=0, chi_max=2)
+    assert result.metadata["truncation_error"] == 0.0
 
 
 def test_terminal_sampling_matches_exact_distribution(rng):

@@ -25,7 +25,7 @@ def brute_force_balanced_cut(edges: dict, n: int, half: int) -> int:
 
 
 def test_ghz_chain_splits_contiguously():
-    plan = partition_circuit(suite.ghz_circuit(40), VqpuLayout(2, 20), seed=0)
+    plan = partition_circuit(suite.ghz_circuit(40), VqpuLayout(2, 20))
     assert plan.cut_weight == 1
     assert sorted(map(len, plan.groups)) == [20, 20]
     for group in plan.groups:
@@ -39,7 +39,7 @@ def test_disjoint_halves_cut_zero():
     for q in range(5, 9):
         c.gate("cx", q, q + 1)
     c.measure_all()
-    plan = partition_circuit(c, VqpuLayout(2, 5), seed=3)
+    plan = partition_circuit(c, VqpuLayout(2, 5))
     assert plan.cut_weight == 0
     assert {tuple(g) for g in plan.groups} == {tuple(range(5)), tuple(range(5, 10))}
 
@@ -56,7 +56,7 @@ def test_complete_qaoa_matches_brute_force_minimum():
     c.measure_all()
     edges = dict(extract_features(c).interaction_graph)
     oracle = brute_force_balanced_cut(edges, 8, 4)
-    plan = partition_circuit(c, VqpuLayout(2, 4), seed=1)
+    plan = partition_circuit(c, VqpuLayout(2, 4))
     assert plan.cut_weight == oracle
 
 
@@ -65,7 +65,7 @@ def test_random_circuits_never_beat_brute_force(rng):
         c = random_circuit(8, 30, rng, measured=True)
         edges = dict(extract_features(c).interaction_graph)
         oracle = brute_force_balanced_cut(edges, 8, 4)
-        plan = partition_circuit(c, VqpuLayout(2, 4), seed=trial)
+        plan = partition_circuit(c, VqpuLayout(2, 4))
         assert plan.cut_weight >= oracle
         # the refinement should land close; allow slack only upward
         assert plan.cut_weight <= oracle + 2
@@ -73,7 +73,7 @@ def test_random_circuits_never_beat_brute_force(rng):
 
 def test_permutation_is_bijection_grouped_by_vqpu(rng):
     c = random_circuit(12, 40, rng)
-    plan = partition_circuit(c, VqpuLayout(3, 4), seed=9)
+    plan = partition_circuit(c, VqpuLayout(3, 4))
     assert sorted(plan.permutation.keys()) == list(range(12))
     assert sorted(plan.permutation.values()) == list(range(12))
     slot = 0
@@ -86,22 +86,22 @@ def test_permutation_is_bijection_grouped_by_vqpu(rng):
 
 def test_capacity_enforced_and_infeasible_rejected(rng):
     c = random_circuit(9, 25, rng)
-    plan = partition_circuit(c, VqpuLayout(3, 3), seed=0)
+    plan = partition_circuit(c, VqpuLayout(3, 3))
     assert all(len(g) <= 3 for g in plan.groups)
     with pytest.raises(PartitionError):
-        partition_circuit(random_circuit(10, 5, rng), VqpuLayout(3, 3), seed=0)
+        partition_circuit(random_circuit(10, 5, rng), VqpuLayout(3, 3))
 
 
 def test_single_vqpu_is_identity():
-    plan = partition_circuit(suite.ghz_circuit(6), VqpuLayout(1, 6), seed=5)
+    plan = partition_circuit(suite.ghz_circuit(6), VqpuLayout(1, 6))
     assert plan.permutation == {q: q for q in range(6)}
     assert plan.cut_weight == 0
 
 
-def test_deterministic_for_fixed_seed(rng):
+def test_plan_is_deterministic(rng):
     c = random_circuit(10, 50, rng)
-    a = partition_circuit(c, VqpuLayout(2, 5), seed=4)
-    b = partition_circuit(c, VqpuLayout(2, 5), seed=4)
+    a = partition_circuit(c, VqpuLayout(2, 5))
+    b = partition_circuit(c, VqpuLayout(2, 5))
     assert a.groups == b.groups and a.cut_weight == b.cut_weight
 
 

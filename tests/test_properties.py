@@ -25,7 +25,7 @@ def test_partition_permutation_is_a_bijection():
         capacity = -(-n // k) + int(rng.integers(0, 3))
         c = random_circuit(n, int(rng.integers(5, 25)), rng, measured=False)
         layout = VqpuLayout(k=k, capacity=capacity)
-        plan = partition_circuit(c, layout, seed=case)
+        plan = partition_circuit(c, layout)
         assert sorted(plan.permutation) == list(range(n)), f"case {case}"
         seen = [q for g in plan.groups for q in g]
         assert sorted(seen) == list(range(n)), f"case {case}"

@@ -2,9 +2,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from polysim.circuit import Circuit, CircuitError, Instruction, inverse_circuit
+from polysim.circuit import (
+    PARAM_COUNTS,
+    TWO_QUBIT_GATES,
+    UNITARY_GATES,
+    Circuit,
+    CircuitError,
+    Instruction,
+    inverse_circuit,
+)
 from polysim.qasm import QasmError, parse_qasm, to_qasm
 
 GHZ3 = """
@@ -85,23 +94,78 @@ def test_u3_and_builtin_aliases():
     assert [i.kind for i in c.instructions] == ["u", "u", "cx"]
 
 
+def _case(src, fragment, line, col):
+    # the id pytest derives from (src, fragment) alone, so these cases keep their names
+    return pytest.param(src, fragment, line, col, id=f"{src}-{fragment}")
+
+
 @pytest.mark.parametrize(
-    "src, fragment",
+    "src, fragment, line, col",
     [
-        ("OPENQASM 2.0; qreg q[2]; ccx q[0],q[1];", "unsupported gate"),
-        ("OPENQASM 2.0; qreg q[2]; h q[5];", "out of range"),
-        ("OPENQASM 2.0; qreg q[2]; creg c[1]; if (c==1) x q[0];", "conditionals"),
-        ("OPENQASM 2.0; qreg q[2]; cx q[0],q[0];", "repeats"),
-        ("OPENQASM 2.0; qreg q[2]; h r[0];", "undeclared"),
-        ("OPENQASM 3.0; qreg q[1];", "version"),
-        ("qreg q[2];", "OPENQASM"),
-        ("OPENQASM 2.0; qreg q[2]; gate foo a { h a; }", "not supported"),
+        _case("OPENQASM 2.0; qreg q[2]; ccx q[0],q[1];", "unsupported gate", 1, 26),
+        _case("OPENQASM 2.0; qreg q[2]; h q[5];", "out of range", 1, 28),
+        _case("OPENQASM 2.0; qreg q[2]; creg c[1]; if (c==1) x q[0];", "conditionals", 1, 37),
+        _case("OPENQASM 2.0; qreg q[2]; cx q[0],q[0];", "repeats", 1, 26),
+        _case("OPENQASM 2.0; qreg q[2]; h r[0];", "undeclared", 1, 28),
+        _case("OPENQASM 3.0; qreg q[1];", "version", 1, 10),
+        _case("qreg q[2];", "OPENQASM", 1, 1),
+        _case("OPENQASM 2.0; qreg q[2]; gate foo a { h a; }", "not supported", 1, 26),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\n// a comment with $ and ? in it\nh q[0] @ q[1];\n",
+            "unexpected character '@'", 4, 8, id="unexpected-character",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nbork q[0];\n// ok\nh q[0] # q[1];\n",
+            "unexpected character '#'", 5, 8, id="unexpected-character-before-parse-error",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0]; $\n",
+            "unexpected character '$'", 3, 15, id="unexpected-character-before-arithmetic-error",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],",
+            "unexpected end of input (at end of input)", 4, 8, id="end-of-input",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nqreg r[3];\n  // pairs\n\tcx q, r;\n",
+            "mismatched register sizes", 5, 2, id="broadcast-sizes",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[3];\ncreg c[2];\nmeasure q -> c;\n",
+            "measure register sizes differ", 4, 1, id="measure-sizes",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\n// again\ncreg q[1];\n",
+            "register 'q' already declared", 4, 6, id="duplicate-register",
+        ),
+        pytest.param(
+            'OPENQASM 2.0;\ninclude "stdgates.inc";\nqreg q[1];\n',
+            'unsupported include "stdgates.inc"', 2, 9, id="unsupported-include",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\r\nqreg q[2];\r\nh q[0]; x q[1]; rz(pi/2) q[0] ; measure q[0] -> c[0];\r\n",
+            "undeclared classical register 'c'", 3, 49, id="crlf-several-per-line",
+        ),
     ],
 )
-def test_parse_errors(src, fragment):
+def test_parse_errors(src, fragment, line, col):
     with pytest.raises(QasmError) as err:
         parse_qasm(src)
     assert fragment in str(err.value)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).startswith(f"line {line}, column {col}: ")
+
+
+@pytest.mark.parametrize("stray", ["@", "$", "é"])
+def test_stray_character_wins_wherever_it_stands(stray):
+    text = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nrz(-pi/4) q[0];\ncx q[0],q[1];\nmeasure q -> c;\n"
+    for offset in range(len(text) + 1):
+        src = text[:offset] + " " + stray + " " + text[offset:]
+        line = src.count("\n", 0, offset + 1) + 1
+        col = offset + 1 - src.rfind("\n", 0, offset + 1)
+        with pytest.raises(QasmError) as err:
+            parse_qasm(src)
+        assert str(err.value) == f"line {line}, column {col}: unexpected character {stray!r}"
 
 
 def test_error_reports_position():
@@ -112,7 +176,7 @@ def test_error_reports_position():
     assert err.value.col == 1
 
 
-def test_round_trip_all_kinds():
+def _all_kinds() -> Circuit:
     c = Circuit(4, 4)
     c.gate("h", 0).gate("x", 1).gate("y", 2).gate("z", 3)
     c.gate("s", 0).gate("sdg", 1).gate("t", 2).gate("tdg", 3)
@@ -124,7 +188,83 @@ def test_round_trip_all_kinds():
     c.append(Instruction("reset", (1,)))
     for q in range(4):
         c.measure(q, q)
-    again = parse_qasm(to_qasm(c))
+    return c
+
+
+def _random_program(seed: int) -> Circuit:
+    """Every kind three times in a seeded order, measures and resets included."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    c = Circuit(n, n)
+    kinds = sorted(UNITARY_GATES | {"measure", "reset", "barrier"})
+    for kind in rng.permutation(kinds * 3):
+        kind = str(kind)
+        if kind == "measure":
+            c.measure(int(rng.integers(n)), int(rng.integers(n)))
+        elif kind in ("reset", "barrier"):
+            size = 1 if kind == "reset" else int(rng.integers(1, n + 1))
+            qubits = tuple(int(q) for q in rng.choice(n, size=size, replace=False))
+            c.append(Instruction(kind, qubits))
+        else:
+            arity = 2 if kind in TWO_QUBIT_GATES else 1
+            qubits = (int(q) for q in rng.choice(n, size=arity, replace=False))
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, size=PARAM_COUNTS.get(kind, 0))
+            c.gate(kind, *qubits, params=tuple(float(v) for v in params))
+    return c
+
+
+# Two registers of each type, with bare-register operands broadcast over them:
+# a is qubits 0-1, b is 2-3, m is clbits 0-1 and k is clbits 2-3.
+_TWO_REGISTERS = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg a[2];
+qreg b[2];
+creg m[2];
+creg k[2];
+h a;
+rz(pi/8) b;
+cx a,b;
+cz a[0],b;
+barrier a,b[1];
+reset b;
+measure a -> k;
+measure b[0] -> m[1];
+"""
+
+
+def _two_registers() -> Circuit:
+    c = Circuit(4, 4)
+    c.gate("h", 0).gate("h", 1)
+    c.gate("rz", 2, params=(math.pi / 8,)).gate("rz", 3, params=(math.pi / 8,))
+    c.gate("cx", 0, 2).gate("cx", 1, 3).gate("cz", 0, 2).gate("cz", 0, 3)
+    c.append(Instruction("barrier", (0, 1, 3)))
+    c.append(Instruction("reset", (2,)))
+    c.append(Instruction("reset", (3,)))
+    return c.measure(0, 2).measure(1, 3).measure(2, 1)
+
+
+def _reformatted(text: str, seed: int) -> str:
+    """The same program with comments, tabs, CRLF line ends and several statements per line."""
+    rng = np.random.default_rng(seed)
+    seps = ["\r\n", " ", "\t", "  // h q[0]; @ not code\r\n"]
+    out = ["// reformatted\r\n"]
+    for statement in text.splitlines():
+        out.append(statement.replace(" ", "\t", 1).replace(",", " ,\t"))
+        out.append(seps[int(rng.integers(len(seps)))])
+    return "".join(out)
+
+
+@pytest.mark.parametrize("layout", ["canonical", "reformatted"])
+@pytest.mark.parametrize("program", ["all_kinds", "random0", "random1", "random2", "registers"])
+def test_round_trip_all_kinds(program, layout):
+    if program == "registers":
+        c, text = _two_registers(), _TWO_REGISTERS
+    else:
+        c = _all_kinds() if program == "all_kinds" else _random_program(int(program[6:]))
+        text = to_qasm(c)
+    if layout == "reformatted":
+        text = _reformatted(text, seed=len(text))
+    again = parse_qasm(text)
     assert again.structurally_equal(c)
     assert to_qasm(again) == to_qasm(c)
 

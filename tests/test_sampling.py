@@ -44,6 +44,12 @@ def test_two_outcome_table_by_hand():
     assert table.prob[1] == pytest.approx(1.0)
 
 
+def test_point_mass_table_draws_only_its_outcome():
+    table = AliasTable.from_distribution({"0": 1.0})
+    draws = table.sample_indices(np.random.default_rng(0), 50)
+    assert [table.outcomes[i] for i in draws] == ["0"] * 50
+
+
 def test_sampled_sequence_is_deterministic():
     table = AliasTable.from_distribution({"00": 0.5, "01": 0.5})
     a = table.sample_indices(np.random.default_rng(123), 50)
