@@ -6,6 +6,7 @@ time and does not survive into the IR.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 ONE_QUBIT_CLIFFORD = frozenset({"h", "x", "y", "z", "s", "sdg"})
@@ -57,6 +58,9 @@ class Instruction:
             raise CircuitError(
                 f"{self.kind} expects {expected} parameter(s), got {len(self.params)}"
             )
+        for value in self.params:
+            if type(value) is not float and not isinstance(value, numbers.Real):
+                raise CircuitError(f"{self.kind} parameter {value!r} is not a real number")
         if (self.kind == "measure") != (self.clbit is not None):
             raise CircuitError("clbit is set exactly for measure instructions")
 

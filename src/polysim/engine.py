@@ -1,19 +1,47 @@
 """The shot engine shared by the sv, mps and pblock backends.
 
 Shots travel through the circuit as a count, not one by one.  At a reset,
-and at a measurement whose qubit a later gate or reset touches, the engine
-draws how many of the count read 1, ``c1 ~ Binomial(count, p1)``, and
-splits the walk.  The state is copied only when both outcomes keep shots;
-the walk goes on with the smaller child and stacks the larger one, so at
-most ~log2(shots) states wait.  Every other measurement commutes with the
-rest of the circuit and is deferred: at the end of each path its clbit is
-drawn from that path's state through ``sample``, the latest write to each
-clbit winning in program order.  The cost is one walk per distinct history
-of the splitting measurements, capped by the shot count; a circuit that
-measures only at the end walks once and draws every shot from one state.
+and at a measurement that must be made where it stands, the engine draws how
+many of the count read 1, ``c1 ~ Binomial(count, p1)``, and splits the walk.
+The state is copied only when both outcomes keep shots; the walk goes on
+with the smaller child and stacks the larger one, so at most ~log2(shots)
+states wait.  Every other measurement is deferred: at the end of each path
+its clbit is drawn from that path's state through ``sample``, the latest
+write to each clbit winning in program order.  The cost is one walk per
+distinct history of the splitting measurements and resets, capped by the
+shot count; a circuit that measures only at the end walks once and draws
+every shot from one state.
+
+Which measurements split.  A Z measurement may be deferred past any op that
+commutes with Z on its qubit (the deferred-measurement principle, Nielsen
+and Chuang section 4.4), since the op then leaves that qubit's outcome law
+and its correlations unchanged.  Two rules decide:
+
+* The base rule, for every state: a measurement splits when a later gate or
+  reset touches its qubit at all.  Every reset splits.
+* The diagonal rule, for states that opt in through
+  ``defers_through_diagonals``: a measurement splits only when a later op on
+  its qubit fails to commute with Z there.  Later measurements commute, and
+  so does a gate whose matrix is block-diagonal in the qubit's bit: a
+  Z-diagonal one-qubit gate, the control of ``cx``, either qubit of ``cz``,
+  or a fused product of such factors.  Zeros are tested exactly, so a fused
+  product that is diagonal only up to rounding still splits.  A reset whose
+  qubit no later gate, measurement or reset touches changes no clbit and is
+  dropped, which also lets the measurements before it defer.  Feed-forward
+  corrections (a measured qubit used afterwards only as a control) then walk
+  once.  The diagonal rule runs only when the base rule finds a split, so a
+  terminal-only circuit pays nothing for it.
+
+Only a state whose cost does not grow with entanglement should opt in.  A
+deferred qubit stays entangled with the rest until the end of the path, so
+on an MPS it keeps its bond dimension (and truncation) and in a block state
+it keeps its block, where splitting would have factored it out.  The dense
+state vector costs the same either way and opts in; mps and pblock keep the
+base rule.
 
 A backend hands the engine a state object with
 
+* ``defers_through_diagonals``: whether the diagonal rule applies (above);
 * ``copy()``: an independent copy;
 * ``apply(inst)``: apply one gate;
 * ``p1(q)``: the probability that qubit ``q`` reads 1;
@@ -22,6 +50,10 @@ A backend hands the engine a state object with
   ``(qubit, clbit)`` pairs, as counts keyed by clbit bitstrings with the
   lowest clbit rightmost and the latest write to a clbit winning.
 
+Gates reach the engine as ``Instruction``s or as fused ops, which carry
+``kind == "fused"``, their ``qubits`` and a ``matrix`` (first qubit the low
+bit of the local index, as in ``polysim.gates``).
+
 One generator drives the whole walk in a fixed depth-first order, so counts
 depend only on the circuit, the shot count and the seed.
 """
@@ -29,7 +61,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Instruction
+from . import gates
+from .circuit import ONE_QUBIT_GATES, Instruction
 from .result import NoMeasurementsError
 
 
@@ -40,7 +73,8 @@ def run_shots(
 
     ``state`` itself walks the first path and is left at its end.  When
     given, ``on_leaf(state)`` is called with the state at the end of every
-    path before its deferred measurements are drawn.
+    path before its deferred measurements are drawn, so it is called once
+    per walk.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -58,6 +92,9 @@ def run_shots(
             touched.update(inst.qubits)
     if not last_write:
         raise NoMeasurementsError("circuit has no measurements")
+    if True in splits and state.defers_through_diagonals:
+        ops, splits = _diagonal_rule(ops)
+        last_write = {inst.clbit: k for k, inst in enumerate(ops) if inst.kind == "measure"}
     deferred = [
         (inst.qubits[0], inst.clbit)
         for k, inst in enumerate(ops)
@@ -99,6 +136,55 @@ def run_shots(
         for key, n in drawn.items():
             counts[key] = counts.get(key, 0) + n
     return counts
+
+
+def _diagonal_rule(ops: list) -> tuple[list, list[bool]]:
+    """The ops without dead resets, and which of them split, by the diagonal rule."""
+    kept: list = []
+    splits: list[bool] = []
+    live: set[int] = set()  # qubits a later kept op touches
+    blocked: set[int] = set()  # qubits a later kept op does not commute with Z on
+    for inst in reversed(ops):
+        kind = inst.kind
+        if kind == "measure":
+            q = inst.qubits[0]
+            splits.append(q in blocked)
+            live.add(q)
+        elif kind == "reset":
+            q = inst.qubits[0]
+            if q not in live:
+                continue
+            splits.append(True)
+            blocked.add(q)
+        else:
+            splits.append(False)
+            live.update(inst.qubits)
+            for pos, q in enumerate(inst.qubits):
+                if q not in blocked and not _commutes_with_z(inst, pos):
+                    blocked.add(q)
+        kept.append(inst)
+    kept.reverse()
+    splits.reverse()
+    return kept, splits
+
+
+def _off_block(dim: int, pos: int) -> np.ndarray:
+    """Entries of a ``dim`` x ``dim`` matrix that flip local qubit ``pos``."""
+    idx = np.arange(dim)
+    return ((idx[:, None] ^ idx[None, :]) >> pos & 1).astype(bool)
+
+
+_OFF_BLOCK = {(dim, pos): _off_block(dim, pos) for dim, k in ((2, 1), (4, 2)) for pos in range(k)}
+
+
+def _commutes_with_z(inst, pos: int) -> bool:
+    """Whether a gate is block-diagonal in the bit of its ``pos``-th qubit, on exact zeros."""
+    kind = inst.kind
+    if kind in ONE_QUBIT_GATES:
+        m = gates.single_qubit_entries(kind, inst.params)
+        return m[1] == 0 and m[2] == 0
+    m = inst.matrix if kind == "fused" else gates.two_qubit_matrix(kind)
+    return not m[_OFF_BLOCK[len(m), pos]].any()
 
 
 def _merge(sub: str, fixed: dict[int, int], clbits: list[int], drawn: set[int]) -> str:

@@ -34,6 +34,10 @@ class ChiCapError(BackendError):
 
 
 class MpsState:
+    # A deferred measurement would keep its qubit's bond, so the shot engine
+    # keeps its base split rule here (see ``polysim.engine``).
+    defers_through_diagonals = False
+
     def __init__(self, n: int, chi_max: int):
         if n < 1:
             raise ValueError("need at least one site")
@@ -283,7 +287,7 @@ def run(c: Circuit, shots: int, seed: int, chi_max: int) -> RunResult:
         backend="mps",
         seed=seed,
         wall_time=wall,
-        metadata={"chi_max": chi_max, "truncation_error": max(errors)},
+        metadata={"chi_max": chi_max, "truncation_error": max(errors), "paths": len(errors)},
     )
 
 

@@ -167,8 +167,12 @@ class ShotState:
     whose outcomes come from ``rng``; the corrections leave every outcome
     with the same state, so gadgets never split shots.  The walk's first
     path records the largest block after each step in ``trace`` and the
-    gadgets in ``gadgets``; copies record nothing.
+    gadgets in ``gadgets``; copies record nothing.  A deferred measurement
+    would keep its qubit in its block, so the shot engine keeps its base split
+    rule here (see ``polysim.engine``).
     """
+
+    defers_through_diagonals = False
 
     def __init__(self, blocks: PBlockState, program=None, rng=None, trace=None, gadgets=None):
         self.blocks = blocks
@@ -214,8 +218,12 @@ def run(c: Circuit, shots: int, seed: int) -> RunResult:
     """
     start = time.perf_counter()
     trace: list[int] = []
+    paths = []
     state = ShotState(PBlockState(c.n_qubits), trace=trace)
-    counts = run_shots(state, c.instructions, shots, np.random.default_rng(seed))
+    counts = run_shots(
+        state, c.instructions, shots, np.random.default_rng(seed),
+        on_leaf=lambda state: paths.append(1),
+    )
     wall = time.perf_counter() - start
     return RunResult(
         counts=counts,
@@ -226,6 +234,7 @@ def run(c: Circuit, shots: int, seed: int) -> RunResult:
         metadata={
             "max_block_dim": max(trace) if trace else 2,
             "block_dim_trace": trace,
+            "paths": len(paths),
         },
     )
 
@@ -340,7 +349,10 @@ def run_distributed(c: Circuit, layout: VqpuLayout, shots: int, seed: int) -> Ru
     gadget_stats: list[dict] = []
     rng = np.random.default_rng(seed)
     state = ShotState(PBlockState(program.total_qubits), program, rng, trace, gadget_stats)
-    counts = run_shots(state, program.remapped.instructions, shots, rng)
+    paths = []
+    counts = run_shots(
+        state, program.remapped.instructions, shots, rng, on_leaf=lambda state: paths.append(1)
+    )
     wall = time.perf_counter() - start
     return RunResult(
         counts=counts,
@@ -354,5 +366,6 @@ def run_distributed(c: Circuit, layout: VqpuLayout, shots: int, seed: int) -> Ru
             "gadgets": gadget_stats,
             "cut_weight": program.plan.cut_weight,
             "permutation": {str(k): v for k, v in program.plan.permutation.items()},
+            "paths": len(paths),
         },
     )

@@ -236,14 +236,30 @@ def _operands(toks: list[str], i: int, qregs: dict) -> tuple[list, bool, int]:
 
 def _params(toks: list[str], i: int) -> tuple[tuple[float, ...], int]:
     """Read ``(expr, ...)`` from the "(" at token i."""
-    value, i = _expr(toks, i + 1)
+    value, i = _angle(toks, i + 1)
     values = [value]
     while toks[i] == ",":
-        value, i = _expr(toks, i + 1)
+        value, i = _angle(toks, i + 1)
         values.append(value)
     if toks[i] != ")":
         raise _Failure(i, "expected ')'")
     return tuple(values), i + 1
+
+
+def _angle(toks: list[str], i: int) -> tuple[float, int]:
+    """Read one angle expression from token i; it must be a finite real number.
+
+    Arithmetic errors (1/0, sqrt(-1), ln(0), exp(1000), the sine of a complex
+    power) and complex or non-finite results fail at the expression's first
+    token.
+    """
+    try:
+        value, end = _expr(toks, i)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise _Failure(i, f"invalid angle: {exc}") from None
+    if type(value) is not float or not math.isfinite(value):
+        raise _Failure(i, f"angle is not a finite real number: {value!r}")
+    return value, end
 
 
 def _groups(args: list) -> list[list[int]]:
@@ -387,9 +403,9 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         n_qubits, n_clbits, instructions = _statements(toks)
     except _Failure as failure:
         raise _locate(text, failure) from None
-    except (ArithmeticError, ValueError, TypeError, RecursionError):
-        # angle arithmetic raises its own errors (1/0, sqrt(-1), sin of a
-        # complex, deep nesting), which a stray character still comes ahead of
+    except RecursionError:
+        # deeply nested angle expressions, which a stray character still comes
+        # ahead of
         stray = _rescan(text)[1]
         if stray is not None:
             raise stray from None

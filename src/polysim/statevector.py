@@ -249,7 +249,9 @@ def zero_state(n: int) -> np.ndarray:
 
 def marginal_probs(amps: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
     """Joint probabilities of the given (ascending) qubits, little-endian."""
-    probs = np.abs(amps.reshape([2] * n)) ** 2
+    probs = np.abs(amps)
+    np.square(probs, out=probs)  # in place: one full-size temporary, not two
+    probs = probs.reshape([2] * n)
     drop = tuple(n - 1 - q for q in range(n) if q not in set(qubits))
     if drop:
         probs = probs.sum(axis=drop)
@@ -271,7 +273,13 @@ def project(amps: np.ndarray, q: int, bit: int) -> None:
 
 
 class SvState:
-    """A dense state as the shot engine walks it."""
+    """A dense state as the shot engine walks it.
+
+    Its cost does not grow with entanglement, so it takes the engine's
+    diagonal rule: feed-forward corrections do not split the walk.
+    """
+
+    defers_through_diagonals = True
 
     def __init__(self, amps: np.ndarray, n: int):
         self.amps = amps
@@ -314,14 +322,19 @@ def run(
     if c.n_qubits > qubit_cap:
         raise QubitCapError(f"{c.n_qubits} qubits exceeds the configured cap {qubit_cap}")
     start = time.perf_counter()
+    paths = []
     counts = run_shots(
         SvState(zero_state(c.n_qubits), c.n_qubits),
         fuse(c.instructions),
         shots,
         np.random.default_rng(seed),
+        on_leaf=lambda state: paths.append(1),
     )
     wall = time.perf_counter() - start
-    return RunResult(counts=counts, shots=shots, backend="sv", seed=seed, wall_time=wall)
+    return RunResult(
+        counts=counts, shots=shots, backend="sv", seed=seed, wall_time=wall,
+        metadata={"paths": len(paths)},
+    )
 
 
 def final_state(c: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:

@@ -291,6 +291,10 @@ def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, caps
     binary = tmp_path / "binary.qasm"
     binary.write_bytes(b"\xff\xfe\x00OPENQASM")
     assert run_cli("run", "--input", str(binary), "--backend", "sv") == 3
+    for angle in ("1/0", "(-8)^(1/3)", "sqrt(-1)", "ln(0)", "exp(1000)"):
+        bad = tmp_path / "angle.qasm"
+        bad.write_text(f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nrz({angle}) q[0];\nmeasure q -> c;\n")
+        assert run_cli("run", "--input", str(bad), "--backend", "sv") == 3, angle
     layout = tmp_path / "layout.json"
     layout.write_text('{"k": "two", "capacity": 2}')
     assert run_cli("run", "--input", qasm, "--backend", "pblock", "--layout", str(layout)) == 3

@@ -62,11 +62,47 @@ def clbit_rewrites() -> Circuit:
     return c
 
 
+def diagonal_after_measure() -> Circuit:
+    """After q0 is measured it only takes ops diagonal on it, then a dead reset."""
+    c = Circuit(3, 3)
+    c.gate("ry", 0, params=(1.1,)).gate("h", 1).gate("cx", 0, 1).gate("ry", 2, params=(0.6,))
+    c.measure(0, 0)
+    c.gate("rz", 0, params=(0.8,)).gate("s", 1)  # folded into the cz by the sv fusion
+    c.gate("cz", 0, 1).gate("cx", 0, 2).gate("rz", 0, params=(-0.3,))
+    c.append(Instruction("reset", (0,)))
+    c.gate("h", 1).gate("h", 2)
+    c.measure(1, 1).measure(2, 2)
+    return c
+
+
+def teleport_chain(hops: int) -> Circuit:
+    """Teleport u|0> along fresh Bell pairs, correcting by cx and cz on the measured qubits.
+
+    Every used pair is reset and never touched again.
+    """
+    n = 2 * hops + 1
+    c = Circuit(n, n)
+    c.gate("u", 0, params=(1.2, 0.4, -0.7))
+    src = 0
+    for h in range(hops):
+        a, b = 2 * h + 1, 2 * h + 2
+        c.gate("h", a).gate("cx", a, b).gate("cx", src, a).gate("h", src)
+        c.measure(src, src).measure(a, a)
+        c.gate("cx", a, b).gate("cz", src, b)
+        c.append(Instruction("reset", (src,)))
+        c.append(Instruction("reset", (a,)))
+        src = b
+    c.measure(src, src)
+    return c
+
+
 CASES = {
     "deferred": deferred_measure,
     "gate-after-measure": gate_after_measure,
     "reset": with_resets,
     "clbit-rewrite": clbit_rewrites,
+    "diagonal-after-measure": diagonal_after_measure,
+    "teleport": lambda: teleport_chain(1),
 }
 
 
@@ -89,12 +125,7 @@ def test_fixed_seed_repeats_mid_circuit_counts(backend):
     assert RUNNERS[backend](c, 700, 10).counts != first
 
 
-def test_kernel_calls_do_not_grow_with_shots(monkeypatch):
-    c = Circuit(2, 2)
-    c.gate("h", 0).gate("cx", 0, 1)
-    c.measure(0, 0)
-    c.gate("h", 0)
-    c.measure(0, 1)
+def count_kernels(monkeypatch) -> list:
     calls = []
     kernel = statevector.apply_instruction
 
@@ -103,6 +134,16 @@ def test_kernel_calls_do_not_grow_with_shots(monkeypatch):
         kernel(amps, n, inst)
 
     monkeypatch.setattr(statevector, "apply_instruction", counted)
+    return calls
+
+
+def test_kernel_calls_do_not_grow_with_shots(monkeypatch):
+    c = Circuit(2, 2)
+    c.gate("h", 0).gate("cx", 0, 1)
+    c.measure(0, 0)
+    c.gate("h", 0)
+    c.measure(0, 1)
+    calls = count_kernels(monkeypatch)
     per_run = []
     for shots in (100, 100_000):
         calls.clear()
@@ -123,3 +164,77 @@ def test_terminal_circuit_never_copies(monkeypatch):
     c.gate("ry", 2, params=(0.3,))  # gates on other qubits do not split
     c.measure(1, 1).measure(2, 2)
     assert sum(statevector.run(c, 500, 1).counts.values()) == 500
+
+
+def test_teleport_chain_on_sv_never_copies(monkeypatch):
+    def refuse(self):
+        raise AssertionError("corrections diagonal on the measured qubits need no copy")
+
+    monkeypatch.setattr(statevector.SvState, "copy", refuse)
+    c = teleport_chain(3)
+    result = statevector.run(c, 500, 4)
+    assert sum(result.counts.values()) == 500
+    assert result.metadata["paths"] == 1
+
+
+@pytest.mark.parametrize("backend", sorted(RUNNERS))
+def test_reset_before_a_measure_of_its_qubit_is_kept(backend):
+    c = Circuit(2, 3)
+    c.gate("ry", 0, params=(1.1,)).gate("cx", 0, 1)
+    c.measure(0, 0)  # must split: the reset below is read by the measure after it
+    c.append(Instruction("reset", (0,)))
+    c.measure(0, 1).measure(1, 2)
+    counts = RUNNERS[backend](c, 2000, 8).counts
+    assert all(key[1] == "0" for key in counts)  # q0 reads 0 after its reset
+    assert all(key[0] == key[2] for key in counts)  # and read q1's value before it
+    assert chisquare_pvalue(counts, oracle_distribution(c), 2000) > 1e-3
+
+
+def test_measure_then_h_on_its_qubit_still_splits(monkeypatch):
+    c = Circuit(2, 3)
+    c.gate("h", 0).gate("cx", 0, 1)
+    c.measure(0, 0)
+    c.gate("cz", 0, 1)  # commutes with the measurement, but the h below does not
+    c.gate("h", 0)
+    c.measure(0, 1).measure(1, 2)
+    calls = count_kernels(monkeypatch)
+    result = statevector.run(c, 400, 2)
+    assert result.metadata["paths"] == 2
+    # h folded into the first cx; then cz and h once on each of the two branches
+    assert len(calls) == 5
+
+
+def test_fused_product_diagonal_only_up_to_rounding_still_splits():
+    c = Circuit(2, 2)
+    c.gate("h", 0).gate("cx", 0, 1)
+    c.measure(0, 0)
+    # one fused 2x2 whose off-diagonal entries are ~1e-16, not zero
+    c.gate("ry", 0, params=(0.3,)).gate("ry", 0, params=(0.4,)).gate("ry", 0, params=(-0.7,))
+    c.measure(1, 1)
+    result = statevector.run(c, 400, 2)
+    assert result.metadata["paths"] == 2
+    assert set(result.counts) == {"00", "11"}
+
+
+def test_dead_reset_is_dropped_and_terminal_measures_stay_deferred(monkeypatch):
+    c = Circuit(2, 2)
+    c.gate("h", 0).gate("cx", 0, 1)
+    c.measure(0, 0)
+    c.append(Instruction("reset", (0,)))  # nothing reads q0 again
+    c.measure(1, 1)
+    result = statevector.run(c, 400, 2)
+    assert result.metadata["paths"] == 1
+    assert set(result.counts) == {"00", "11"}  # q0's clbit keeps its value before the reset
+
+
+@pytest.mark.parametrize("backend", sorted(RUNNERS))
+def test_paths_count_walks(backend):
+    ghz = Circuit(3, 3)
+    ghz.gate("h", 0).gate("cx", 0, 1).gate("cx", 1, 2)
+    ghz.measure_all()
+    assert RUNNERS[backend](ghz, 80, 3).metadata["paths"] == 1
+    paths = RUNNERS[backend](teleport_chain(3), 80, 3).metadata["paths"]
+    if backend == "sv":
+        assert paths == 1
+    else:  # mps and pblock split at every one of the six fair measurements
+        assert 1 < paths <= 80

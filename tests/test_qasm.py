@@ -146,6 +146,34 @@ def _case(src, fragment, line, col):
             "OPENQASM 2.0;\r\nqreg q[2];\r\nh q[0]; x q[1]; rz(pi/2) q[0] ; measure q[0] -> c[0];\r\n",
             "undeclared classical register 'c'", 3, 49, id="crlf-several-per-line",
         ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];\n",
+            "invalid angle: float division by zero", 3, 4, id="angle-division-by-zero",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\nrz((-8)^(1/3)) q[0];\n",
+            "angle is not a finite real number", 3, 4, id="angle-complex",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\nu(0.1, sqrt(-1), 0) q[0];\n",
+            "invalid angle: math domain error", 3, 8, id="angle-sqrt-negative",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\nu(0.1, 0.2,ln(0)) q[0];\n",
+            "invalid angle: math domain error", 3, 12, id="angle-log-zero",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\n  rx(exp(1000)) q[0];\n",
+            "invalid angle: math range error", 3, 6, id="angle-overflow",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\nry(1e999 - 1e999) q[0];\n",
+            "angle is not a finite real number: nan", 3, 4, id="angle-not-finite",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\nry(sin((-8)^0.5)) q[0];\n",
+            "invalid angle: must be real number, not complex", 3, 4, id="angle-function-of-complex",
+        ),
     ],
 )
 def test_parse_errors(src, fragment, line, col):
@@ -297,6 +325,17 @@ def test_inverse_rejects_measurement():
     c.measure(0, 0)
     with pytest.raises(CircuitError):
         inverse_circuit(c)
+
+
+@pytest.mark.parametrize("bad", [1j, complex(0.5), "0.5", None])
+def test_instruction_rejects_non_real_params(bad):
+    with pytest.raises(CircuitError, match="is not a real number"):
+        Instruction("rz", (0,), (bad,))
+
+
+def test_instruction_accepts_real_numbers_of_any_type():
+    for value in (1, 0.5, np.float64(0.5), np.float32(0.5), np.int64(2), True):
+        assert Instruction("rz", (0,), (value,)).params == (value,)
 
 
 def test_u_inverse_swaps_phi_lambda():

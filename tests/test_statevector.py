@@ -283,6 +283,20 @@ def collapse_walk(ops, n: int, seed: int) -> np.ndarray:
     return amps
 
 
+def test_marginal_probs_are_bitwise_the_squared_magnitudes(rng):
+    # pblock draws from the same marginals, so even the last bit must not move
+    for n in (1, 4, 11):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
+        full = np.abs(amps.reshape([2] * n)) ** 2
+        for qubits in (tuple(range(n)), (0,), (n - 1,), tuple(range(0, n, 2))):
+            drop = tuple(n - 1 - q for q in range(n) if q not in qubits)
+            expected = (full.sum(axis=drop) if drop else full).reshape(-1)
+            got = sv.marginal_probs(amps, n, qubits)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_fused_stream_matches_per_gate_application(rng):
     for n in range(1, 13):
         for trial in range(3):
