@@ -39,6 +39,24 @@ it keeps its block, where splitting would have factored it out.  The dense
 state vector costs the same either way and opts in; mps and pblock keep the
 base rule.
 
+The schedule.  Once the split flags are known, and only when some op
+splits, the ops are stably reordered so that each runs after as few
+splitting ops as its dependencies allow (``schedule``).  Ops that no
+measurement outcome affects, such as the Bell-pair preparations of a
+teleportation chain, then run once on the shared state before the first
+split instead of once per walk; an op that depends on the first k splits
+runs once per history of those k.  Each qubit's ops, each clbit's writes
+and the splitting ops keep their order, so the split flags, the deferred
+measurements and the engine's draws are those of program order, up to
+rounding: a reordered kernel can move a probability by an ulp, and at
+p1 = 1/2 that flips numpy's binomial draw.  (Draws a state makes inside
+``apply``, as pblock's telegate gadgets do, move with their ops.)  An op
+also waits for a split on any qubit its qubits have interacted with since
+that qubit's last split (their component), so no gate moves ahead of a
+collapse that would have cut its qubits' entanglement, and pblock's blocks
+grow exactly as in program order.  Terminal-only circuits never reach the
+schedule.
+
 A backend hands the engine a state object with
 
 * ``defers_through_diagonals``: whether the diagonal rule applies (above);
@@ -102,6 +120,8 @@ def run_shots(
     ]
     drawn_clbits = {cl for _, cl in deferred}
     clbits = sorted(last_write, reverse=True)  # bitstring order, lowest clbit rightmost
+    if True in splits:
+        ops, splits = schedule(ops, splits)
 
     counts: dict[str, int] = {}
     stack = [(state, 0, shots, {})]
@@ -136,6 +156,65 @@ def run_shots(
         for key, n in drawn.items():
             counts[key] = counts.get(key, 0) + n
     return counts
+
+
+def schedule(ops: list, splits: list[bool]) -> tuple[list, list[bool]]:
+    """The ops in a stable order that runs each op after as few splits as it can.
+
+    Qubits form components: a two-qubit op joins its qubits' components,
+    and a splitting measurement or reset leaves its qubit in a basis state,
+    so the qubit starts a component of its own.  An op depends on every
+    earlier op in a component of one of its qubits, a measurement also on
+    earlier measurements of its clbit, and a splitting op also on the
+    splitting op before it.  Each op's level counts the splitting ops among
+    it and everything it depends on, found in one forward pass, and the ops
+    are stably sorted by level.
+
+    An op depends on nothing of a higher level, so this is a topological
+    order: each qubit's ops, each clbit's writes and the splitting ops keep
+    their order.  Ops that no history affects run once, before the first
+    split.  Returns the reordered ops and their split flags.
+    """
+    node: dict[int, int] = {}  # qubit -> its node in the union-find forest
+    parent: list[int] = []
+    level: list[int] = []  # at each root: the highest level in its component
+
+    def root(q: int) -> int:
+        r = node.get(q)
+        if r is None:
+            r = node[q] = len(parent)
+            parent.append(r)
+            level.append(0)
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    clbit_level: dict[int, int] = {}
+    buckets: list[list[int]] = [[]]
+    for k, inst in enumerate(ops):
+        first, *rest = inst.qubits
+        joined = root(first)
+        for q in rest:
+            r = root(q)
+            if r != joined:
+                parent[r] = joined
+                level[joined] = max(level[joined], level[r])
+        if splits[k]:
+            lev = len(buckets)
+            buckets.append([])
+            # the split qubit leaves in a basis state: a component of its own
+            node[first] = len(parent)
+            parent.append(len(parent))
+            level.append(lev)
+        else:
+            lev = level[joined]
+        if inst.kind == "measure":
+            lev = max(lev, clbit_level.get(inst.clbit, 0))
+            clbit_level[inst.clbit] = lev
+        level[joined] = lev
+        buckets[lev].append(k)
+    order = [k for bucket in buckets for k in bucket]
+    return [ops[k] for k in order], [splits[k] for k in order]
 
 
 def _diagonal_rule(ops: list) -> tuple[list, list[bool]]:

@@ -1,7 +1,7 @@
 """Structural circuit features consumed by the runtime predictor."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .circuit import ONE_QUBIT_CLIFFORD, TWO_QUBIT_GATES, Circuit
@@ -14,9 +14,7 @@ class CircuitFeatures:
     counts_by_class: dict[str, int]
     is_clifford: bool
     terminal_measurement_only: bool
-    depth: int
     entanglement_proxy: int
-    interaction_graph: dict[tuple[int, int], int] = field(repr=False)
 
 
 def extract_features(c: Circuit) -> CircuitFeatures:
@@ -29,9 +27,7 @@ def extract_features(c: Circuit) -> CircuitFeatures:
     difference array and summed once at the end.
     """
     n = c.n_qubits
-    level = [0] * n
     cut_delta = [0] * n  # crossings of cut i = sum of cut_delta[:i + 1]
-    graph: dict[tuple[int, int], int] = {}
     measured: set[int] = set()
     n_1q_clifford = n_1q_other = n_2q = n_measure = n_reset = 0
     terminal_only = True
@@ -43,19 +39,14 @@ def extract_features(c: Circuit) -> CircuitFeatures:
             a, b = inst.qubits
             if a > b:
                 a, b = b, a
-            edge = (a, b)
-            graph[edge] = graph.get(edge, 0) + 1
             cut_delta[a] += 1
             cut_delta[b] -= 1
             if measured and (a in measured or b in measured):
                 terminal_only = False
-            la, lb = level[a], level[b]
-            level[a] = level[b] = (la if la > lb else lb) + 1
             continue
         if kind == "barrier":
             continue
         q = inst.qubits[0]
-        level[q] += 1
         if kind in ONE_QUBIT_CLIFFORD:
             n_1q_clifford += 1
         elif kind == "measure":
@@ -84,7 +75,5 @@ def extract_features(c: Circuit) -> CircuitFeatures:
         counts_by_class=counts,
         is_clifford=n_1q_other == 0,
         terminal_measurement_only=terminal_only,
-        depth=max(level),
         entanglement_proxy=max(accumulate(cut_delta[:-1])) if n > 1 else 0,
-        interaction_graph=graph,
     )

@@ -5,7 +5,18 @@ Two-site updates contract the neighboring tensors, apply the gate, and split
 back with an SVD truncated to chi_max; singular values below 1e-14 of the
 largest are dropped as numerically zero and the kept spectrum is renormalized,
 with the discarded weight accumulated on the state.  Gates on non-adjacent
-qubits ride swap chains, each swap itself a truncated two-site update.
+qubits ride swap chains, each swap itself a truncated two-site update.  The
+center is kept canonical (Vidal, arXiv:quant-ph/0301063) by QR steps.
+
+Bonds stay small on most circuits (mid-circuit runs rarely pass 4), so numpy's
+per-call overhead, not arithmetic, sets the cost, and the kernels keep calls
+few: a one-qubit gate is one broadcast ``matmul`` over the site tensor; a
+two-site update forms theta as one ``(chi_l*2, chi) @ (chi, 2*chi_r)``
+product viewed as ``(chi_l, 4, chi_r)`` and applies the 4x4 as one broadcast
+``matmul``, with the fixed gates' matrices laid out for it once at import
+(``_LOCAL``); a QR step absorbs R with ``@``, and across a bond of dimension
+1 it is a rescaling.
+
 ``MpsState`` is the state the shot engine (``polysim.engine``) walks; terminal
 draws are one batched left-to-right sweep with binomial splits (Ferris &
 Vidal, arXiv:1201.3974).  The adaptive loop picks chi from the discarded
@@ -13,12 +24,13 @@ weight of the run itself rather than from a separate check circuit.
 """
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from . import gates
-from .circuit import ONE_QUBIT_GATES, Circuit
+from .circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit
 from .engine import run_shots
 from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
 from .result import BackendError, RunResult, counts_by_row
@@ -26,7 +38,27 @@ from .result import BackendError, RunResult, counts_by_row
 REL_CUTOFF = 1e-14
 DEFAULT_CHI_CAP = 256
 
-_SWAP_LOCAL = gates.two_qubit_matrix("swap")
+
+def _high_bit_first(m4: np.ndarray) -> np.ndarray:
+    """A ``polysim.gates`` 4x4 with its two local bits exchanged."""
+    perm = [0, 2, 1, 3]
+    return m4[np.ix_(perm, perm)]
+
+
+# The fixed two-qubit gates in ``apply_two_site``'s order, keyed by kind and
+# whether the instruction's first qubit sits on the left site.
+_LOCAL = {
+    (kind, first_left): _high_bit_first(m4) if first_left else m4
+    for kind in TWO_QUBIT_GATES
+    for m4 in (gates.two_qubit_matrix(kind),)
+    for first_left in (True, False)
+}
+_SWAP = _LOCAL["swap", True]
+
+# ``sample_terminal``'s per-site records for a single live prefix (read only)
+_BITS = (np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8))
+_SPLIT_BITS = np.array([0, 1], dtype=np.uint8)
+_SPLIT_PARENTS = np.zeros(2, dtype=np.int32)
 
 
 class ChiCapError(BackendError):
@@ -89,94 +121,115 @@ class MpsState:
     # --- canonical form ------------------------------------------------------
 
     def move_center(self, target: int) -> None:
+        """Move the orthogonality center to ``target`` by QR steps.
+
+        Across a bond of dimension 1 a QR step is a rescaling, so it is done
+        as one (measured and reset qubits leave many such bonds).
+        """
+        tensors = self.tensors
         while self.center < target:
             i = self.center
-            chi_l, _, chi_r = self.tensors[i].shape
-            q, r = np.linalg.qr(self.tensors[i].reshape(chi_l * 2, chi_r))
-            self.tensors[i] = q.reshape(chi_l, 2, -1)
-            self.tensors[i + 1] = np.tensordot(r, self.tensors[i + 1], axes=(1, 0))
+            t, nxt = tensors[i], tensors[i + 1]
+            chi_l, _, chi_r = t.shape
+            if chi_r == 1:
+                scale = math.sqrt(np.vdot(t, t).real)
+                tensors[i] = t / scale
+                tensors[i + 1] = nxt * scale
+            else:
+                q, r = np.linalg.qr(t.reshape(chi_l * 2, chi_r))
+                tensors[i] = q.reshape(chi_l, 2, -1)
+                tensors[i + 1] = (r @ nxt.reshape(chi_r, -1)).reshape(-1, 2, nxt.shape[2])
             self.center = i + 1
         while self.center > target:
             i = self.center
-            chi_l, _, chi_r = self.tensors[i].shape
-            q, r = np.linalg.qr(self.tensors[i].reshape(chi_l, 2 * chi_r).T)
-            self.tensors[i] = q.T.reshape(-1, 2, chi_r)
-            self.tensors[i - 1] = np.tensordot(self.tensors[i - 1], r.T, axes=(2, 0))
+            t, prev = tensors[i], tensors[i - 1]
+            chi_l, _, chi_r = t.shape
+            if chi_l == 1:
+                scale = math.sqrt(np.vdot(t, t).real)
+                tensors[i] = t / scale
+                tensors[i - 1] = prev * scale
+            else:
+                q, r = np.linalg.qr(t.reshape(chi_l, 2 * chi_r).T)
+                tensors[i] = q.T.reshape(-1, 2, chi_r)
+                tensors[i - 1] = (prev.reshape(-1, chi_l) @ r.T).reshape(prev.shape[0], 2, -1)
             self.center = i - 1
 
     # --- gates -----------------------------------------------------------------
 
     def apply_1q(self, q: int, m: np.ndarray) -> None:
-        self.tensors[q] = np.tensordot(m, self.tensors[q], axes=(1, 1)).transpose(1, 0, 2)
+        self.tensors[q] = np.matmul(m, self.tensors[q])
 
     def apply_two_site(self, left: int, m4: np.ndarray) -> None:
-        """Apply a 4x4 gate (site `left` is the low bit) to sites left, left+1."""
+        """Apply a 4x4 gate to sites left, left+1, site ``left`` the high bit.
+
+        That is the row-major order of the two physical legs, the reverse of
+        ``polysim.gates``; ``_LOCAL`` holds the fixed gates in it.  The center
+        ends on the site the update moved toward (left+1 coming from the
+        left, left coming from the right), so a swap chain in either
+        direction takes no QR step.
+        """
+        from_right = self.center > left
         if self.center < left:
             self.move_center(left)
         elif self.center > left + 1:
             self.move_center(left + 1)
         a, b = self.tensors[left], self.tensors[left + 1]
         chi_l, chi_r = a.shape[0], b.shape[2]
-        theta = np.tensordot(a, b, axes=(2, 0))  # (chi_l, s0, s1, chi_r)
-        m_t = m4.reshape(2, 2, 2, 2)  # [s1', s0', s1, s0]
-        theta = np.tensordot(m_t, theta, axes=([2, 3], [2, 1]))  # (s1', s0', chi_l, chi_r)
-        theta = theta.transpose(2, 1, 0, 3)
-        mat = theta.reshape(chi_l * 2, 2 * chi_r)
+        theta = (a.reshape(chi_l * 2, -1) @ b.reshape(-1, 2 * chi_r)).reshape(chi_l, 4, chi_r)
+        mat = np.matmul(m4, theta).reshape(chi_l * 2, 2 * chi_r)
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
         if s[0] > 0:
             significant = int(np.count_nonzero(s > s[0] * REL_CUTOFF))
         else:
             significant = 1
         k = max(1, min(self.chi_max, significant))
-        norm2 = float(np.sum(s**2))
-        # only weight lost to the chi cap counts; sub-cutoff values are noise
-        discarded = float(np.sum(s[k:significant] ** 2))
-        self.truncation_error += discarded / norm2
-        kept = s[:k] / np.linalg.norm(s[:k])
-        self.tensors[left] = u[:, :k].reshape(chi_l, 2, k)
-        self.tensors[left + 1] = (kept[:, None] * vh[:k]).reshape(k, 2, chi_r)
-        self.center = left + 1
-
-    def _local_matrix(self, inst, left_is_first: bool) -> np.ndarray:
-        m4 = gates.two_qubit_matrix(inst.kind)
-        if left_is_first:
-            return m4
-        perm = [0, 2, 1, 3]  # swap which qubit is the low bit
-        return m4[np.ix_(perm, perm)]
+        s2 = s * s
+        if k < significant:
+            # only weight lost to the chi cap counts; sub-cutoff values are noise
+            self.truncation_error += float(s2[k:significant].sum() / s2.sum())
+        kept = s[:k] / np.sqrt(s2[:k].sum())
+        if from_right:
+            self.tensors[left] = (u[:, :k] * kept).reshape(chi_l, 2, k)
+            self.tensors[left + 1] = vh[:k].reshape(k, 2, chi_r)
+            self.center = left
+        else:
+            self.tensors[left] = u[:, :k].reshape(chi_l, 2, k)
+            self.tensors[left + 1] = (kept[:, None] * vh[:k]).reshape(k, 2, chi_r)
+            self.center = left + 1
 
     def apply(self, inst) -> None:
-        if inst.kind == "barrier":
+        kind = inst.kind
+        if kind == "barrier":
             return
-        if inst.kind in ONE_QUBIT_GATES:
-            self.apply_1q(
-                inst.qubits[0], gates.single_qubit_matrix(inst.kind, inst.params)
-            )
+        if kind in ONE_QUBIT_GATES:
+            self.apply_1q(inst.qubits[0], gates.single_qubit_matrix(kind, inst.params))
             return
         qa, qb = inst.qubits
-        lo, hi = min(qa, qb), max(qa, qb)
+        lo, hi = (qa, qb) if qa < qb else (qb, qa)
+        m4 = _LOCAL[kind, qa == lo]
         if hi - lo == 1:
-            self.apply_two_site(lo, self._local_matrix(inst, left_is_first=qa == lo))
+            self.apply_two_site(lo, m4)
             return
         for j in range(hi - 1, lo, -1):
-            self.apply_two_site(j, _SWAP_LOCAL)
-        self.apply_two_site(lo, self._local_matrix(inst, left_is_first=qa == lo))
+            self.apply_two_site(j, _SWAP)
+        self.apply_two_site(lo, m4)
         for j in range(lo + 1, hi):
-            self.apply_two_site(j, _SWAP_LOCAL)
+            self.apply_two_site(j, _SWAP)
 
     # --- measurement -----------------------------------------------------------
 
     def p1(self, q: int) -> float:
         self.move_center(q)
-        t = self.tensors[q]
-        w0 = float(np.linalg.norm(t[:, 0, :]) ** 2)
-        w1 = float(np.linalg.norm(t[:, 1, :]) ** 2)
-        return w1 / (w0 + w1)
+        w = np.square(np.abs(self.tensors[q])).sum(axis=(0, 2))
+        return float(w[1] / (w[0] + w[1]))
 
     def project(self, q: int, bit: int) -> None:
         self.move_center(q)
-        projected = self.tensors[q].copy()
-        projected[:, 1 - bit, :] = 0.0
-        self.tensors[q] = projected / np.linalg.norm(projected)
+        t = self.tensors[q]
+        piece = t[:, bit, :]
+        projected = np.zeros_like(t)
+        projected[:, bit, :] = piece / math.sqrt(np.vdot(piece, piece).real)
+        self.tensors[q] = projected
 
     def measure(self, q: int, rng: np.random.Generator) -> int:
         bit = 1 if rng.random() < self.p1(q) else 0
@@ -197,7 +250,8 @@ class MpsState:
         matrix whose column q holds qubit q's outcome, and the ``B`` counts.
 
         Each site keeps its new bit per prefix, and a parent map only where
-        some prefix split; where none did, every prefix stays in its row.
+        some prefix split; where none did, every prefix stays in its row.  A
+        single live prefix takes a scalar path with the same draws.
         """
         self.move_center(0)
         env = np.ones((1, 1), dtype=complex)
@@ -210,10 +264,25 @@ class MpsState:
             b = (env @ a.reshape(chi_l, 2 * chi_r)).reshape(-1, chi_r)  # row 2i + s
             flat = b.view(np.float64)
             w = np.einsum("ij,ij->i", flat, flat)  # squared norm of each row
+            if len(counts) == 1:
+                # a single live prefix is common (one-shot leaves, the first
+                # sites): one scalar draw, ~1.4 us against ~8 us for an array
+                # one, and no index bookkeeping
+                count = counts[0]
+                c0 = rng.binomial(count, w[0] / (w[0] + w[1]))
+                if c0 and c0 < count:
+                    env = b / np.sqrt(w)[:, None]
+                    counts = np.array([c0, count - c0], dtype=np.int64)
+                    parents.append(_SPLIT_PARENTS)
+                    site_bits.append(_SPLIT_BITS)
+                else:
+                    bit = 0 if c0 else 1
+                    env = b[bit:bit + 1] / np.sqrt(w[bit])
+                    parents.append(None)
+                    site_bits.append(_BITS[bit])
+                continue
             p0 = w[0::2] / (w[0::2] + w[1::2])
-            # an array draw costs ~8 us against ~1.4 us for a scalar one, and a
-            # single live prefix is common: one-shot leaves, the first sites
-            c0 = rng.binomial(counts[0], p0[0]) if len(counts) == 1 else rng.binomial(counts, p0)
+            c0 = rng.binomial(counts, p0)
             children = np.repeat(counts, 2)
             children[0::2] = c0
             children[1::2] -= c0

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .circuit import Circuit
-from .features import extract_features
+from .circuit import TWO_QUBIT_GATES, Circuit
+from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
 
 
 class PartitionError(ValueError):
@@ -69,6 +69,17 @@ class PartitionPlan:
     cut_weight: int
 
 
+def interaction_graph(c: Circuit) -> dict[tuple[int, int], int]:
+    """Two-qubit gate counts per unordered qubit pair, keyed ``(low, high)``."""
+    graph: dict[tuple[int, int], int] = {}
+    for inst in c.instructions:
+        if inst.kind in TWO_QUBIT_GATES:
+            a, b = inst.qubits
+            edge = (a, b) if a < b else (b, a)
+            graph[edge] = graph.get(edge, 0) + 1
+    return graph
+
+
 def _cut_weight(edges: dict[tuple[int, int], int], assign: dict[int, int]) -> int:
     return sum(w for (a, b), w in edges.items() if assign[a] != assign[b])
 
@@ -79,7 +90,7 @@ def partition_circuit(c: Circuit, layout: VqpuLayout) -> PartitionPlan:
         raise PartitionError(
             f"{n} qubits exceed {layout.k} vQPUs x {layout.capacity}"
         )
-    edges = dict(extract_features(c).interaction_graph)
+    edges = interaction_graph(c)
 
     if layout.k == 1:
         groups = [list(range(n))]

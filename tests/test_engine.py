@@ -1,8 +1,11 @@
 """The shot engine shared by sv, mps and pblock: exact laws, seeding and cost."""
-import pytest
-from conftest import chisquare_pvalue, oracle_distribution
+from collections import Counter
 
-from polysim import mps, pblock, statevector
+import numpy as np
+import pytest
+from conftest import chisquare_pvalue, oracle_distribution, random_circuit
+
+from polysim import engine, mps, pblock, statevector
 from polysim.circuit import Circuit, Instruction
 from polysim.partition import VqpuLayout
 
@@ -238,3 +241,126 @@ def test_paths_count_walks(backend):
         assert paths == 1
     else:  # mps and pblock split at every one of the six fair measurements
         assert 1 < paths <= 80
+
+
+def mid_circuit_ops(rng: np.random.Generator):
+    """A random op list with mid-circuit measures and resets, and split flags.
+
+    The flags are random over the measures and resets: the schedule's
+    guarantees hold whatever the split rule chose.
+    """
+    n = int(rng.integers(2, 7))
+    ops = []
+    for inst in random_circuit(n, int(rng.integers(0, 40)), rng, measured=False).instructions:
+        roll = rng.random()
+        q = int(rng.integers(n))
+        if roll < 0.15:
+            ops.append(Instruction("measure", (q,), clbit=int(rng.integers(3))))
+        elif roll < 0.22:
+            ops.append(Instruction("reset", (q,)))
+        ops.append(inst)
+    ops += [Instruction("measure", (q,), clbit=q % 3) for q in range(n)]
+    splits = [inst.kind in ("measure", "reset") and bool(rng.random() < 0.5) for inst in ops]
+    return n, ops, splits
+
+
+def test_schedule_is_a_topological_permutation(rng):
+    for _ in range(300):
+        n, ops, splits = mid_circuit_ops(rng)
+        scheduled, flags = engine.schedule(ops, splits)
+        position = {id(inst): k for k, inst in enumerate(ops)}
+        order = [position[id(inst)] for inst in scheduled]
+        assert sorted(order) == list(range(len(ops)))
+        assert flags == [splits[k] for k in order]
+
+        def subsequence(keep):
+            return [k for k in order if keep(ops[k])] == [k for k in range(len(ops)) if keep(ops[k])]
+
+        for q in range(n):
+            assert subsequence(lambda inst: q in inst.qubits)
+        for cl in range(3):
+            assert subsequence(lambda inst: inst.kind == "measure" and inst.clbit == cl)
+        split_ids = {id(inst) for inst, flag in zip(ops, splits) if flag}
+        assert subsequence(lambda inst: id(inst) in split_ids)
+
+
+def reference_schedule(ops, splits):
+    """The schedule by its definition: explicit components and ancestor sets."""
+    comp_of = {}  # qubit -> id of its component
+    history = {}  # component id -> the ops in it so far
+    fresh = iter(range(10**9))
+    last_split = None
+    ancestors = []
+    for k, inst in enumerate(ops):
+        comps = {comp_of.setdefault(q, next(fresh)) for q in inst.qubits}
+        deps = {j for cid in comps for j in history.get(cid, [])}
+        if inst.kind == "measure":
+            deps |= {j for j in range(k) if ops[j].kind == "measure" and ops[j].clbit == inst.clbit}
+        if splits[k] and last_split is not None:
+            deps.add(last_split)
+        ancestors.append(deps.union(*(ancestors[j] for j in deps)))
+        merged = next(fresh)
+        history[merged] = [j for cid in comps for j in history.pop(cid, [])] + [k]
+        for q, cid in comp_of.items():
+            if cid in comps:
+                comp_of[q] = merged
+        if splits[k]:
+            last_split = k
+            comp_of[inst.qubits[0]] = cid = next(fresh)  # leaves in a basis state
+            history[cid] = [k]
+    level = [sum(splits[j] for j in ancestors[k]) + splits[k] for k in range(len(ops))]
+    order = sorted(range(len(ops)), key=lambda k: level[k])
+    return [ops[k] for k in order], [splits[k] for k in order]
+
+
+def test_schedule_matches_its_definition(rng):
+    for _ in range(300):
+        _, ops, splits = mid_circuit_ops(rng)
+        assert engine.schedule(ops, splits) == reference_schedule(ops, splits)
+
+
+@pytest.mark.parametrize("backend", sorted(RUNNERS))
+def test_schedule_leaves_walks_unchanged(backend, monkeypatch):
+    # Reordered kernels round differently, and a fair bit's p1 may then read
+    # 0.5000000000000001, for which numpy's binomial mirrors its draw.  Both
+    # runs see p1 rounded to 12 digits, so only the walk itself is compared.
+    for state_class in (statevector.SvState, mps.MpsState, pblock.ShotState):
+        monkeypatch.setattr(state_class, "p1", lambda self, q, p1=state_class.p1: round(p1(self, q), 12))
+    circuits = [CASES[case]() for case in sorted(CASES)] + [teleport_chain(4), with_resets()]
+    scheduled = [RUNNERS[backend](c, 300, 5).metadata["paths"] for c in circuits]
+    monkeypatch.setattr(engine, "schedule", lambda ops, splits: (ops, splits))
+    program_order = [RUNNERS[backend](c, 300, 5).metadata["paths"] for c in circuits]
+    assert scheduled == program_order
+    assert max(program_order) > 1
+
+
+@pytest.mark.parametrize("backend", ["mps", "pblock"])
+def test_teleport_bell_pairs_are_prepared_once(backend, monkeypatch):
+    c = teleport_chain(7)
+    bell = [
+        next(inst for inst in c.instructions if inst.kind == "cx" and inst.qubits == (2 * h + 1, 2 * h + 2))
+        for h in range(7)
+    ]
+    state_class = mps.MpsState if backend == "mps" else pblock.ShotState
+    applied = Counter()
+    apply = state_class.apply
+
+    def counted(self, inst):
+        applied[id(inst)] += 1
+        apply(self, inst)
+
+    monkeypatch.setattr(state_class, "apply", counted)
+    result = RUNNERS[backend](c, 200, 6)
+    assert result.metadata["paths"] > 20
+    assert [applied[id(inst)] for inst in bell] == [1] * 7
+    corrections = [inst for inst in c.instructions if inst.kind == "cz"]
+    assert applied[id(corrections[-1])] > 1  # after the splits: once per history
+
+
+def test_schedule_keeps_pblock_blocks(monkeypatch):
+    # the next hop's cx may not move ahead of the resets that factor the
+    # measured qubits out of the block it joins
+    c = teleport_chain(4)
+    scheduled = pblock.run(c, 200, 3).metadata["max_block_dim"]
+    monkeypatch.setattr(engine, "schedule", lambda ops, splits: (ops, splits))
+    assert scheduled == pblock.run(c, 200, 3).metadata["max_block_dim"] == 8

@@ -59,21 +59,6 @@ def test_terminal_measurement_detection():
     assert not extract_features(with_reset).terminal_measurement_only
 
 
-def test_depth_hand_example():
-    c = Circuit(3)
-    c.gate("h", 0)          # level 1 on q0
-    c.gate("h", 1)          # level 1 on q1
-    c.gate("cx", 0, 1)      # level 2 on q0,q1
-    c.gate("x", 2)          # level 1 on q2
-    c.gate("cx", 1, 2)      # level 3
-    assert extract_features(c).depth == 3
-    with_barrier = Circuit(2)
-    with_barrier.gate("h", 0)
-    with_barrier.append(Instruction("barrier", (0, 1)))
-    with_barrier.gate("h", 0)
-    assert extract_features(with_barrier).depth == 2
-
-
 def test_entanglement_proxy_linear_chain_is_one():
     assert extract_features(ghz(40)).entanglement_proxy == 1
 
@@ -99,20 +84,11 @@ def test_qft_proxy_grows():
     assert extract_features(qft(6)).entanglement_proxy > 3
 
 
-def test_interaction_graph_weights():
-    c = Circuit(4)
-    c.gate("cx", 0, 1).gate("cx", 1, 0).gate("cz", 2, 3).gate("swap", 0, 1)
-    g = extract_features(c).interaction_graph
-    assert g == {(0, 1): 3, (2, 3): 1}
-
-
 def test_single_qubit_circuit():
     c = Circuit(1, 1)
     c.gate("h", 0).measure(0, 0)
     f = extract_features(c)
     assert f.entanglement_proxy == 0
-    assert f.depth == 2
-    assert f.interaction_graph == {}
 
 
 def test_extract_features_is_deterministic():
@@ -140,11 +116,6 @@ def _reference_features(c: Circuit) -> CircuitFeatures:
             later.kind == "measure" and later.qubits[0] in inst.qubits for later in ops[:k]))
         for k, inst in enumerate(ops)
     )
-    levels = [0] * c.n_qubits
-    for inst in ops:
-        top = 1 + max(levels[q] for q in inst.qubits)
-        for q in inst.qubits:
-            levels[q] = top
     graph: dict[tuple[int, int], int] = {}
     for inst in ops:
         if len(inst.qubits) == 2:
@@ -160,9 +131,7 @@ def _reference_features(c: Circuit) -> CircuitFeatures:
         counts_by_class=counts,
         is_clifford=is_clifford(c),
         terminal_measurement_only=terminal_only,
-        depth=max(levels),
         entanglement_proxy=proxy,
-        interaction_graph=graph,
     )
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polysim import mps, statevector, suite
+from polysim import gates, mps, statevector, suite
 from polysim.circuit import Circuit, Instruction
 from polysim.result import NoMeasurementsError
 
@@ -255,3 +255,115 @@ def test_sweep_draws_in_the_order_of_the_branch_loop(width):
     assert list(zip(codes, counts.tolist())) == _branch_by_branch(
         state, 5000, np.random.default_rng(12)
     )
+
+
+def _random_unitary(rng, dim: int) -> np.ndarray:
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_exact_state(rng, n: int) -> mps.MpsState:
+    state = mps.MpsState.random(n, 2 ** (n // 2), rng)
+    state.move_center(int(rng.integers(n)))
+    state.chi_max = 2**n  # no truncation: every update is exact
+    return state
+
+
+def _assert_canonical(state: mps.MpsState) -> None:
+    """Sites left of the center are left isometries, sites right of it right ones."""
+    for i, t in enumerate(state.tensors):
+        if i == state.center:
+            continue
+        m = t.reshape(-1, t.shape[2]) if i < state.center else t.reshape(t.shape[0], -1).T
+        np.testing.assert_allclose(m.conj().T @ m, np.eye(m.shape[1]), atol=1e-12)
+
+
+def test_two_site_update_matches_dense_kernel(rng):
+    n = 6
+    matrices = {kind: gates.two_qubit_matrix(kind) for kind in ("cx", "cz", "swap")}
+    matrices["random"] = _random_unitary(rng, 4)
+    for name, m4 in matrices.items():
+        for left in range(n - 1):
+            # apply_two_site takes site ``left`` as the high bit; _high_bit_first
+            # turns a polysim.gates matrix (first qubit low) into that order
+            for m_local, first, second in ((m4, left + 1, left),
+                                           (mps._high_bit_first(m4), left, left + 1)):
+                state = _random_exact_state(rng, n)
+                amps = state.to_statevector()
+                state.apply_two_site(left, m_local)
+                statevector.apply_2q(amps, n, first, second, m4)
+                np.testing.assert_allclose(state.to_statevector(), amps, rtol=0, atol=1e-12,
+                                           err_msg=f"{name} at {left}")
+                _assert_canonical(state)
+
+
+@pytest.mark.parametrize("kind", ["cx", "cz", "swap"])
+def test_apply_matches_dense_kernel_at_any_distance_and_order(kind, rng):
+    n = 6
+    for distance in (1, 2, 3):
+        for lo in range(n - distance):
+            for qa, qb in ((lo, lo + distance), (lo + distance, lo)):
+                state = _random_exact_state(rng, n)
+                amps = state.to_statevector()
+                state.apply(Instruction(kind, (qa, qb)))
+                statevector.apply_2q(amps, n, qa, qb, gates.two_qubit_matrix(kind))
+                np.testing.assert_allclose(state.to_statevector(), amps, rtol=0, atol=1e-12,
+                                           err_msg=f"{kind}({qa}, {qb})")
+                _assert_canonical(state)
+
+
+def test_move_center_keeps_state_and_canonical_form(rng):
+    c = Circuit(6)  # bonds of dimension 2, 1, 1, 2, 1: both kinds of step
+    c.gate("h", 0).gate("cx", 0, 1).gate("ry", 3, params=(0.7,)).gate("cx", 3, 4)
+    c.gate("u", 5, params=(0.3, 1.1, -0.4))
+    product = mps._run_unitaries(c, chi_max=8)
+    assert product.bond_dims() == [2, 1, 1, 2, 1]
+    for state in (product, _random_exact_state(rng, 6)):
+        state.tensors[state.center] = 3.0 * state.tensors[state.center]  # any norm is kept
+        amps = state.to_statevector()
+        for target in (5, 0, 3, 1, 4):
+            state.move_center(target)
+            assert state.center == target
+            np.testing.assert_allclose(state.to_statevector(), amps, rtol=0, atol=1e-12)
+            _assert_canonical(state)
+
+
+def _batched_sweep(state, shots, rng):
+    """The sweep with every site on the batched path, single live prefix or not."""
+    state.move_center(0)
+    env = np.ones((1, 1), dtype=complex)
+    counts = np.array([shots], dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    for site in range(state.n):
+        a = state.tensors[site]
+        b = (env @ a.reshape(a.shape[0], -1)).reshape(-1, a.shape[2])
+        w = np.einsum("ij,ij->i", b.view(np.float64), b.view(np.float64))
+        p0 = w[0::2] / (w[0::2] + w[1::2])
+        c0 = rng.binomial(counts[0], p0[0]) if len(counts) == 1 else rng.binomial(counts, p0)
+        children = np.repeat(counts, 2)
+        children[0::2] = c0
+        children[1::2] -= c0
+        keep = np.flatnonzero(children)
+        env = b[keep] / np.sqrt(w[keep])[:, None]
+        codes = codes[keep >> 1] | (keep & 1) << site
+        counts = children[keep]
+    return codes.tolist(), counts.tolist()
+
+
+@pytest.mark.parametrize("shots", [1, 2, 7, 300, 5000])
+def test_single_prefix_path_draws_as_the_batched_path(shots):
+    # the first sites are nearly deterministic, so the sweep starts on the
+    # single-prefix path and leaves it where the shots first split
+    c = Circuit(9, 0)
+    for q in range(9):
+        c.gate("ry", q, params=(0.05 + 0.3 * q,))
+    for q in range(8):
+        c.gate("cx", q, q + 1)
+    c.gate("cz", 2, 7)
+    for seed in range(5):
+        state = mps._run_unitaries(c, chi_max=16)
+        bits, counts = state.sample_terminal(shots, np.random.default_rng(seed))
+        codes = [sum(int(v) << q for q, v in enumerate(row)) for row in bits]
+        expected = _batched_sweep(state, shots, np.random.default_rng(seed))
+        assert (codes, counts.tolist()) == expected

@@ -5,10 +5,10 @@ import pytest
 
 from polysim import suite
 from polysim.circuit import Circuit
-from polysim.features import extract_features
 from polysim.partition import (
     PartitionError,
     VqpuLayout,
+    interaction_graph,
     partition_circuit,
 )
 
@@ -22,6 +22,14 @@ def brute_force_balanced_cut(edges: dict, n: int, half: int) -> int:
         cut = sum(w for (a, b), w in edges.items() if (a in left) != (b in left))
         best = cut if best is None else min(best, cut)
     return best
+
+
+def test_interaction_graph_weights():
+    c = Circuit(4)
+    c.gate("cx", 0, 1).gate("cx", 1, 0).gate("cz", 2, 3).gate("swap", 0, 1)
+    c.gate("h", 2).measure_all()
+    assert interaction_graph(c) == {(0, 1): 3, (2, 3): 1}
+    assert interaction_graph(Circuit(1)) == {}
 
 
 def test_ghz_chain_splits_contiguously():
@@ -54,7 +62,7 @@ def test_complete_qaoa_matches_brute_force_minimum():
             c.gate("rz", b, params=(0.7,))
             c.gate("cx", a, b)
     c.measure_all()
-    edges = dict(extract_features(c).interaction_graph)
+    edges = interaction_graph(c)
     oracle = brute_force_balanced_cut(edges, 8, 4)
     plan = partition_circuit(c, VqpuLayout(2, 4))
     assert plan.cut_weight == oracle
@@ -63,7 +71,7 @@ def test_complete_qaoa_matches_brute_force_minimum():
 def test_random_circuits_never_beat_brute_force(rng):
     for trial in range(10):
         c = random_circuit(8, 30, rng, measured=True)
-        edges = dict(extract_features(c).interaction_graph)
+        edges = interaction_graph(c)
         oracle = brute_force_balanced_cut(edges, 8, 4)
         plan = partition_circuit(c, VqpuLayout(2, 4))
         assert plan.cut_weight >= oracle
