@@ -31,35 +31,18 @@ SV_THRESHOLD_QUBITS = 30
 @dataclass
 class CircuitRecord:
     name: str
-    n_qubits: int | None
-    total_gates: int | None
-    two_qubit_gates: int | None
-    is_clifford: bool | None
-    entanglement_proxy: int | None
-    backend: str | None
-    chi: int | None
-    wall_seconds: float
-    predicted_seconds: float | None
-    fidelity: float | None
-    counts: dict[str, int] | None
-    error: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_qubits": self.n_qubits,
-            "total_gates": self.total_gates,
-            "two_qubit_gates": self.two_qubit_gates,
-            "is_clifford": self.is_clifford,
-            "entanglement_proxy": self.entanglement_proxy,
-            "backend": self.backend,
-            "chi": self.chi,
-            "wall_seconds": self.wall_seconds,
-            "predicted_seconds": self.predicted_seconds,
-            "fidelity": self.fidelity,
-            "counts": self.counts,
-            "error": self.error,
-        }
+    n_qubits: int | None = None
+    total_gates: int | None = None
+    two_qubit_gates: int | None = None
+    is_clifford: bool | None = None
+    entanglement_proxy: int | None = None
+    backend: str | None = None
+    chi: int | None = None
+    wall_seconds: float = 0.0
+    predicted_seconds: float | None = None
+    fidelity: float | None = None
+    counts: dict[str, int] | None = None
+    error: str | None = None
 
 
 @dataclass
@@ -77,7 +60,8 @@ class BatchReport:
             "policy": self.policy,
             "shots": self.shots,
             "seed": self.seed,
-            "circuits": [r.to_dict() for r in self.records],
+            # shallow: dataclasses.asdict would deep-copy every counts entry
+            "circuits": [dict(vars(r)) for r in self.records],
             "totals": {
                 "wall_seconds": self.wall_seconds,
                 "prediction_seconds": self.prediction_seconds,
@@ -93,13 +77,11 @@ def load_directory(path: str) -> list[tuple[str, Circuit | Exception]]:
         raise FileNotFoundError(f"no .qasm files in {path}")
     entries: list[tuple[str, Circuit | Exception]] = []
     for p in paths:
-        name = os.path.splitext(os.path.basename(p))[0]
         try:
             c = parse_qasm_file(p)
-            c.name = name
-            entries.append((name, c))
+            entries.append((c.name, c))
         except Exception as exc:
-            entries.append((name, exc))
+            entries.append((os.path.splitext(os.path.basename(p))[0], exc))
     return entries
 
 
@@ -110,7 +92,6 @@ def run_batch(
     shots: int = 1000,
     seed: int = 0,
     fidelity_threshold: float = 0.95,
-    chi_init: int = 4,
 ) -> BatchReport:
     """Run every circuit under one policy and report per-circuit results.
 
@@ -132,23 +113,7 @@ def run_batch(
     prediction_total = 0.0
     for name, item in entries:
         if isinstance(item, Exception):
-            records.append(
-                CircuitRecord(
-                    name=name,
-                    n_qubits=None,
-                    total_gates=None,
-                    two_qubit_gates=None,
-                    is_clifford=None,
-                    entanglement_proxy=None,
-                    backend=None,
-                    chi=None,
-                    wall_seconds=0.0,
-                    predicted_seconds=None,
-                    fidelity=None,
-                    counts=None,
-                    error=f"{type(item).__name__}: {item}",
-                )
-            )
+            records.append(CircuitRecord(name, error=f"{type(item).__name__}: {item}"))
             continue
         c = item
         features = None
@@ -177,13 +142,7 @@ def run_batch(
 
             run_started = time.perf_counter()
             if backend == "mps":
-                loop = run_with_fidelity_loop(
-                    c,
-                    shots,
-                    seed,
-                    threshold=fidelity_threshold,
-                    chi_init=chi_init,
-                )
+                loop = run_with_fidelity_loop(c, shots, seed, threshold=fidelity_threshold)
                 wall = time.perf_counter() - run_started
                 counts = loop.result.counts
                 chi = loop.chi

@@ -10,7 +10,8 @@ import time
 from .batch import POLICIES, run_batch
 from .calibration import CalibrationError, CalibrationModel, calibrate
 from .circuit import CircuitError
-from .dispatch import run_circuit
+from . import pblock
+from .dispatch import BACKENDS, run_circuit
 from .mps import run_with_fidelity_loop
 from .partition import PartitionError, VqpuLayout
 from .predictor import select_backend
@@ -63,6 +64,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _calib_path(args) -> str:
     # The environment variable wins over the flag so a machine-wide
     # calibration can be pinned without editing scripts.
@@ -72,12 +80,6 @@ def _calib_path(args) -> str:
             "no calibration file given; pass --calib or set MAESTRO_CALIB"
         )
     return path
-
-
-def _load_circuit(path: str):
-    c = parse_qasm_file(path)
-    c.name = os.path.splitext(os.path.basename(path))[0]
-    return c
 
 
 def _write_payload(payload: dict, output: str | None) -> None:
@@ -90,7 +92,7 @@ def _write_payload(payload: dict, output: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    c = _load_circuit(args.input)
+    c = parse_qasm_file(args.input)
     payload: dict = {
         "version": OUTPUT_VERSION,
         "name": c.name,
@@ -105,32 +107,24 @@ def _cmd_run(args) -> int:
         payload["predicted_seconds"] = report.estimates[backend]
         payload["estimates"] = report.estimates
 
-    if backend == "pblock":
-        from . import pblock
-
-        t0 = time.perf_counter()
-        if args.layout:
-            layout = VqpuLayout.from_json(args.layout)
-            result = pblock.run_distributed(c, layout, args.shots, args.seed)
-        else:
-            result = pblock.run(c, args.shots, args.seed)
-        wall = time.perf_counter() - t0
-        payload["metadata"] = result.metadata
+    t0 = time.perf_counter()
+    if args.layout:  # only with pblock (checked in main)
+        layout = VqpuLayout.from_json(args.layout)
+        result = pblock.run_distributed(c, layout, args.shots, args.seed)
     elif backend == "mps" and args.chi is None:
-        t0 = time.perf_counter()
         loop = run_with_fidelity_loop(
             c, args.shots, args.seed, threshold=args.fidelity_threshold
         )
-        wall = time.perf_counter() - t0
         result = loop.result
         payload["chi"] = loop.chi
         payload["fidelity"] = loop.fidelity
     else:
-        t0 = time.perf_counter()
         result = run_circuit(c, backend, args.shots, args.seed, chi=args.chi)
-        wall = time.perf_counter() - t0
         if backend == "mps":
             payload["chi"] = args.chi
+    wall = time.perf_counter() - t0
+    if backend == "pblock":
+        payload["metadata"] = result.metadata
 
     payload["backend"] = backend
     payload["counts"] = result.counts
@@ -140,7 +134,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    c = _load_circuit(args.input)
+    c = parse_qasm_file(args.input)
     model = CalibrationModel.load(_calib_path(args))
     report = select_backend(c, model, args.shots)
     f = report.features
@@ -231,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "sv", "mps", "stab", "pblock"),
+        choices=("auto", *BACKENDS),
     )
     run_p.add_argument("--shots", type=_positive_int, default=1000)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--chi", type=_positive_int, default=None, help="fixed mps bond cap")
-    run_p.add_argument("--fidelity-threshold", type=float, default=0.95)
+    run_p.add_argument("--fidelity-threshold", type=_threshold, default=0.95)
     run_p.add_argument("--layout", default=None, help="vQPU layout JSON for pblock")
     run_p.add_argument("--calib", default=None, help="calibration JSON for auto")
     run_p.add_argument("--output", default=None, help="write result JSON here")
@@ -260,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--calib", default=None)
     batch_p.add_argument("--shots", type=_positive_int, default=1000)
     batch_p.add_argument("--seed", type=int, default=0)
-    batch_p.add_argument("--fidelity-threshold", type=float, default=0.95)
+    batch_p.add_argument("--fidelity-threshold", type=_threshold, default=0.95)
     batch_p.add_argument("--report", default=None, help="write report JSON here")
     batch_p.set_defaults(func=_cmd_batch)
 
@@ -275,6 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run":
+        if args.layout is not None and args.backend != "pblock":
+            parser.error("--layout needs --backend pblock")
+        if args.chi is not None and args.backend not in ("auto", "mps"):
+            parser.error(f"--chi applies to mps, not {args.backend}")
     try:
         return args.func(args)
     except Exception as exc:  # classified into exit codes for scripting

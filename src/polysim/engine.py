@@ -5,9 +5,10 @@ and at a measurement that must be made where it stands, the engine draws how
 many of the count read 1, ``c1 ~ Binomial(count, p1)``, and splits the walk.
 The state is copied only when both outcomes keep shots; the walk goes on
 with the smaller child and stacks the larger one, so at most ~log2(shots)
-states wait.  Every other measurement is deferred: at the end of each path
-its clbit is drawn from that path's state through ``sample``, the latest
-write to each clbit winning in program order.  The cost is one walk per
+states wait.  Every other measurement is deferred: at the end of each path,
+each clbit whose latest write in program order is deferred is drawn from
+that path's state through ``sample``, from the qubit that write reads.  The
+engine alone resolves which write wins.  The cost is one walk per
 distinct history of the splitting measurements and resets, capped by the
 shot count; a circuit that measures only at the end walks once and draws
 every shot from one state.
@@ -64,9 +65,10 @@ A backend hands the engine a state object with
 * ``apply(inst)``: apply one gate;
 * ``p1(q)``: the probability that qubit ``q`` reads 1;
 * ``project(q, bit)``: collapse qubit ``q`` onto ``|bit>`` and renormalise;
-* ``sample(measures, count, rng)``: ``count`` joint draws of the given
-  ``(qubit, clbit)`` pairs, as counts keyed by clbit bitstrings with the
-  lowest clbit rightmost and the latest write to a clbit winning.
+* ``sample(qubits, count, rng)``: ``count`` joint draws of the given
+  qubits, as counts keyed by bitstrings whose i-th character is the outcome
+  of ``qubits[i]``.  The engine passes one qubit per drawn clbit, in key
+  order (lowest clbit rightmost), so a qubit may appear more than once.
 
 Gates reach the engine as ``Instruction``s or as fused ops, which carry
 ``kind == "fused"``, their ``qubits`` and a ``matrix`` (first qubit the low
@@ -113,13 +115,9 @@ def run_shots(
     if True in splits and state.defers_through_diagonals:
         ops, splits = _diagonal_rule(ops)
         last_write = {inst.clbit: k for k, inst in enumerate(ops) if inst.kind == "measure"}
-    deferred = [
-        (inst.qubits[0], inst.clbit)
-        for k, inst in enumerate(ops)
-        if inst.kind == "measure" and not splits[k] and not splits[last_write[inst.clbit]]
-    ]
-    drawn_clbits = {cl for _, cl in deferred}
-    clbits = sorted(last_write, reverse=True)  # bitstring order, lowest clbit rightmost
+    clbits = sorted(last_write, reverse=True)  # key order, lowest clbit rightmost
+    drawn_clbits = {cl for cl in clbits if not splits[last_write[cl]]}
+    qubits = [ops[last_write[cl]].qubits[0] for cl in clbits if cl in drawn_clbits]
     if True in splits:
         ops, splits = schedule(ops, splits)
 
@@ -147,7 +145,7 @@ def run_shots(
             _collapse(state, fixed, inst, bit)
         if on_leaf is not None:
             on_leaf(state)
-        drawn = state.sample(deferred, count, rng) if deferred else {"": count}
+        drawn = state.sample(qubits, count, rng) if qubits else {"": count}
         if len(drawn_clbits) < len(clbits):
             drawn = {_merge(sub, fixed, clbits, drawn_clbits): n for sub, n in drawn.items()}
         if not counts:

@@ -302,14 +302,10 @@ class MpsState:
                 row = parent if row is None else parent[row]
         return bits, counts
 
-    def sample(self, measures, count: int, rng: np.random.Generator) -> dict[str, int]:
-        """Counts of the measured clbits over ``count`` terminal draws."""
-        latest_source: dict[int, int] = {}
-        for qubit, clbit in measures:
-            latest_source[clbit] = qubit
-        sources = [latest_source[cl] for cl in sorted(latest_source, reverse=True)]
+    def sample(self, qubits, count: int, rng: np.random.Generator) -> dict[str, int]:
+        """Counts of ``qubits``, read in that order, over ``count`` terminal draws."""
         bits, counts = self.sample_terminal(count, rng)
-        measured = bits[:, sources]  # a copy: fancy indexing
+        measured = bits[:, qubits]  # a copy: fancy indexing
         del bits  # free the full matrix before the keys are built
         return counts_by_row(measured, counts)
 
@@ -383,8 +379,11 @@ def run_with_fidelity_loop(
     walked (Zhou, Stoudenmire & Waintal, arXiv:2002.07730), so mid-circuit
     measurements and resets are scored on the circuit that actually runs.
     The sum can exceed 1, so the score is clamped at 0.  The accepted run is
-    the reported one.
+    the reported one.  No score exceeds 1, so a threshold outside [0, 1] is
+    rejected before anything runs.
     """
+    if not 0 <= threshold <= 1:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     chi = chi_init
     iterations = 0
     while chi <= chi_cap:

@@ -7,8 +7,12 @@ interacted.  A measurement that splits shots projects its block and factors
 the qubit back out into a singleton, shrinking the live dimension.  The
 distributed variant places qubits on virtual QPUs via the partitioner and
 realizes cross-QPU cx gates with a telegate gadget over per-link
-communication qubit pairs.  Shots are walked by ``polysim.engine``, through
-``ShotState``.
+communication qubit pairs.
+
+``PBlockState`` is the one state class: the shot engine (``polysim.engine``)
+walks it, and with a distributed program it runs cross-vQPU gates as
+gadgets.  ``max_block_dim`` in a run's metadata is the largest block the
+first walk held after any engine op, gadget transients excluded.
 """
 from __future__ import annotations
 
@@ -48,8 +52,26 @@ class Block:
 
 
 class PBlockState:
-    def __init__(self, n: int):
+    """Blocks of qubits, as the shot engine walks them.
+
+    With a distributed ``program``, gates across vQPUs run as telegate
+    gadgets whose outcomes come from ``rng``; the corrections leave every
+    outcome with the same state, so gadgets never split shots.  Gadgets are
+    logged in ``gadgets``, which copies do not carry.  ``peak`` is the
+    largest block among each applied gate's qubits; since a block grows only
+    when a gate merges its own qubits, that is the largest block the state
+    has held between engine ops.  A deferred measurement would keep its qubit in its block, so
+    the shot engine keeps its base split rule here (see ``polysim.engine``).
+    """
+
+    defers_through_diagonals = False
+
+    def __init__(self, n: int, program: _DistProgram | None = None, rng=None, gadgets=None):
         self.n = n
+        self.program = program
+        self.rng = rng
+        self.gadgets = gadgets
+        self.peak = 2
         self.block_of: dict[int, Block] = {}
         for q in range(n):
             state = np.zeros(2, dtype=complex)
@@ -61,14 +83,11 @@ class PBlockState:
         return list({id(b): b for b in self.block_of.values()}.values())
 
     def copy(self) -> "PBlockState":
-        dup = PBlockState.__new__(PBlockState)
-        dup.n = self.n
+        dup = PBlockState(0, self.program, self.rng)
+        dup.n, dup.peak = self.n, self.peak
         twins = {id(b): Block(list(b.qubits), b.state.copy()) for b in self.blocks()}
         dup.block_of = {q: twins[id(b)] for q, b in self.block_of.items()}
         return dup
-
-    def max_dim(self) -> int:
-        return max(b.dim for b in self.blocks())
 
     def _merge(self, a: Block, b: Block) -> Block:
         combined_order = a.qubits + b.qubits
@@ -80,8 +99,17 @@ class PBlockState:
         return merged
 
     def apply(self, inst: Instruction) -> None:
-        if inst.kind == "barrier":
-            return
+        """Apply one engine op, as a gadget when it crosses vQPUs."""
+        p = self.program
+        if p is not None and len({p.vqpu_of[q] for q in inst.qubits}) == 2:
+            _apply_distributed(self, inst)
+        else:
+            self.apply_local(inst)
+        # a gate, gadget or not, leaves its qubits in one block
+        self.peak = max(self.peak, self.block_of[inst.qubits[0]].dim)
+
+    def apply_local(self, inst: Instruction) -> None:
+        """Apply a gate inside the blocks, merging its qubits' blocks first."""
         if len(inst.qubits) == 1:
             block = self.block_of[inst.qubits[0]]
             local = Instruction(
@@ -124,10 +152,6 @@ class PBlockState:
         self.project(qubit, bit)
         return bit
 
-    def reset(self, qubit: int, rng: np.random.Generator) -> None:
-        if self.measure_and_factor(qubit, rng):
-            self.set_basis(qubit, 0)
-
     def set_basis(self, qubit: int, bit: int) -> None:
         """Force a qubit known to sit in a singleton block to |bit>."""
         block = self.block_of[qubit]
@@ -136,6 +160,19 @@ class PBlockState:
         state = np.zeros(2, dtype=complex)
         state[bit] = 1.0
         block.state = state
+
+    def sample(self, qubits, count: int, rng: np.random.Generator) -> dict[str, int]:
+        """Counts of ``qubits``, read in that order, from one draw per block."""
+        wanted = set(qubits)
+        groups = []
+        for block in self.blocks():
+            qs = tuple(q for q in block.qubits if q in wanted)
+            if qs:
+                locals_ = tuple(block.qubits.index(q) for q in qs)
+                probs = statevector.marginal_probs(block.state, len(block.qubits), locals_)
+                groups.append((qs, probs))
+        groups.sort(key=lambda g: g[0][0])
+        return sample_measurement_groups(groups, qubits, count, rng)
 
     def contract(self) -> np.ndarray:
         """Global little-endian amplitudes (for validation at small n)."""
@@ -147,67 +184,6 @@ class PBlockState:
         return reorder_qubits(vec, order, sorted(order))
 
 
-def _measured_groups(state: PBlockState, measured: set[int]):
-    groups = []
-    for block in state.blocks():
-        qs = tuple(q for q in block.qubits if q in measured)
-        if not qs:
-            continue
-        locals_ = tuple(block.qubits.index(q) for q in qs)
-        probs = statevector.marginal_probs(block.state, len(block.qubits), locals_)
-        groups.append((qs, probs))
-    groups.sort(key=lambda g: g[0][0])
-    return groups
-
-
-class ShotState:
-    """A PBlockState as the shot engine walks it.
-
-    With a distributed program, gates across vQPUs run as telegate gadgets
-    whose outcomes come from ``rng``; the corrections leave every outcome
-    with the same state, so gadgets never split shots.  The walk's first
-    path records the largest block after each step in ``trace`` and the
-    gadgets in ``gadgets``; copies record nothing.  A deferred measurement
-    would keep its qubit in its block, so the shot engine keeps its base split
-    rule here (see ``polysim.engine``).
-    """
-
-    defers_through_diagonals = False
-
-    def __init__(self, blocks: PBlockState, program=None, rng=None, trace=None, gadgets=None):
-        self.blocks = blocks
-        self.program = program
-        self.rng = rng
-        self.trace = trace
-        self.gadgets = gadgets
-
-    def copy(self) -> "ShotState":
-        return ShotState(self.blocks.copy(), self.program, self.rng)
-
-    def apply(self, inst: Instruction) -> None:
-        p = self.program
-        if p is not None and len({p.vqpu_of[q] for q in inst.qubits}) == 2:
-            _apply_distributed(p, self.blocks, inst, self.rng, self.gadgets)
-        else:
-            self.blocks.apply(inst)
-        self._record()
-
-    def p1(self, q: int) -> float:
-        return self.blocks.p1(q)
-
-    def project(self, q: int, bit: int) -> None:
-        self.blocks.project(q, bit)
-        self._record()
-
-    def sample(self, measures, count: int, rng: np.random.Generator) -> dict[str, int]:
-        groups = _measured_groups(self.blocks, {q for q, _ in measures})
-        return sample_measurement_groups(groups, measures, count, rng)
-
-    def _record(self) -> None:
-        if self.trace is not None:
-            self.trace.append(self.blocks.max_dim())
-
-
 def run(c: Circuit, shots: int, seed: int) -> RunResult:
     """Block-partitioned execution without a vQPU layout.
 
@@ -217,26 +193,18 @@ def run(c: Circuit, shots: int, seed: int) -> RunResult:
     the block whole until the terminal draw.
     """
     start = time.perf_counter()
-    trace: list[int] = []
+    state = PBlockState(c.n_qubits, rng=np.random.default_rng(seed))
+    return _run(state, c.instructions, shots, seed, start)
+
+
+def _run(
+    state: PBlockState, instructions, shots: int, seed: int, start: float, **metadata
+) -> RunResult:
+    """Walk ``state`` with the shot engine, drawing from its ``rng``, and report the run."""
     paths = []
-    state = ShotState(PBlockState(c.n_qubits), trace=trace)
-    counts = run_shots(
-        state, c.instructions, shots, np.random.default_rng(seed),
-        on_leaf=lambda state: paths.append(1),
-    )
-    wall = time.perf_counter() - start
-    return RunResult(
-        counts=counts,
-        shots=shots,
-        backend="pblock",
-        seed=seed,
-        wall_time=wall,
-        metadata={
-            "max_block_dim": max(trace) if trace else 2,
-            "block_dim_trace": trace,
-            "paths": len(paths),
-        },
-    )
+    counts = run_shots(state, instructions, shots, state.rng, on_leaf=lambda leaf: paths.append(1))
+    metadata = {"max_block_dim": state.peak, **metadata, "paths": len(paths)}
+    return RunResult(counts, shots, "pblock", seed, time.perf_counter() - start, metadata)
 
 
 # --- distributed execution ------------------------------------------------------
@@ -284,15 +252,16 @@ def _gadget_cx(
 ) -> None:
     """Teleported cx across a link, consuming one Bell pair on comm qubits."""
     m_c, m_t = comm
-    state.apply(Instruction("h", (m_c,)))
-    state.apply(Instruction("cx", (m_c, m_t)))
-    state.apply(Instruction("cx", (control, m_c)))
+    apply = state.apply_local
+    apply(Instruction("h", (m_c,)))
+    apply(Instruction("cx", (m_c, m_t)))
+    apply(Instruction("cx", (control, m_c)))
     if state.measure_and_factor(m_c, rng):
-        state.apply(Instruction("x", (m_t,)))
-    state.apply(Instruction("cx", (m_t, target)))
-    state.apply(Instruction("h", (m_t,)))
+        apply(Instruction("x", (m_t,)))
+    apply(Instruction("cx", (m_t, target)))
+    apply(Instruction("h", (m_t,)))
     if state.measure_and_factor(m_t, rng):
-        state.apply(Instruction("z", (control,)))
+        apply(Instruction("z", (control,)))
     state.set_basis(m_c, 0)
     state.set_basis(m_t, 0)
     if stats is not None:
@@ -314,21 +283,16 @@ def _cross_pair(program: _DistProgram, qa: int, qb: int) -> tuple[int, int]:
     return pair
 
 
-def _apply_distributed(
-    program: _DistProgram,
-    state: PBlockState,
-    inst: Instruction,
-    rng: np.random.Generator,
-    stats: list[dict] | None,
-) -> None:
+def _apply_distributed(state: PBlockState, inst: Instruction) -> None:
+    program, rng, stats = state.program, state.rng, state.gadgets
     qa, qb = inst.qubits
     pair = _cross_pair(program, qa, qb)
     if inst.kind == "cx":
         _gadget_cx(state, qa, qb, pair, rng, stats)
     elif inst.kind == "cz":
-        state.apply(Instruction("h", (qb,)))
+        state.apply_local(Instruction("h", (qb,)))
         _gadget_cx(state, qa, qb, pair, rng, stats)
-        state.apply(Instruction("h", (qb,)))
+        state.apply_local(Instruction("h", (qb,)))
     elif inst.kind == "swap":
         _gadget_cx(state, qa, qb, pair, rng, stats)
         _gadget_cx(state, qb, qa, pair, rng, stats)
@@ -345,27 +309,10 @@ def run_distributed(c: Circuit, layout: VqpuLayout, shots: int, seed: int) -> Ru
     """
     start = time.perf_counter()
     program = _build_program(c, layout)
-    trace: list[int] = []
-    gadget_stats: list[dict] = []
-    rng = np.random.default_rng(seed)
-    state = ShotState(PBlockState(program.total_qubits), program, rng, trace, gadget_stats)
-    paths = []
-    counts = run_shots(
-        state, program.remapped.instructions, shots, rng, on_leaf=lambda state: paths.append(1)
-    )
-    wall = time.perf_counter() - start
-    return RunResult(
-        counts=counts,
-        shots=shots,
-        backend="pblock",
-        seed=seed,
-        wall_time=wall,
-        metadata={
-            "max_block_dim": max(trace) if trace else 2,
-            "block_dim_trace": trace,
-            "gadgets": gadget_stats,
-            "cut_weight": program.plan.cut_weight,
-            "permutation": {str(k): v for k, v in program.plan.permutation.items()},
-            "paths": len(paths),
-        },
+    state = PBlockState(program.total_qubits, program, np.random.default_rng(seed), gadgets=[])
+    return _run(
+        state, program.remapped.instructions, shots, seed, start,
+        gadgets=state.gadgets,
+        cut_weight=program.plan.cut_weight,
+        permutation={str(k): v for k, v in program.plan.permutation.items()},
     )

@@ -59,10 +59,10 @@ def estimate(
     shot_term = c1 + c2 * shots
 
     if backend == "sv":
-        if n > statevector.DEFAULT_QUBIT_CAP:
+        if n > statevector.QUBIT_CAP:
             raise PredictionError(
                 f"{n} qubits exceeds the state-vector cap "
-                f"({statevector.DEFAULT_QUBIT_CAP})"
+                f"({statevector.QUBIT_CAP})"
             )
         dim = float(1 << n)
         gate_term = (
@@ -108,12 +108,7 @@ class PredictionReport:
     features: CircuitFeatures
 
 
-def select_backend(
-    c: Circuit,
-    model: CalibrationModel,
-    shots: int,
-    qubit_cap: int = statevector.DEFAULT_QUBIT_CAP,
-) -> PredictionReport:
+def select_backend(c: Circuit, model: CalibrationModel, shots: int) -> PredictionReport:
     """Estimate every applicable backend and pick the fastest."""
     f = extract_features(c)
     chi = policy_chi(f)
@@ -121,7 +116,7 @@ def select_backend(
     if f.is_clifford:
         estimates["stab"] = estimate(c, "stab", model, shots, features=f)
     estimates["mps"] = estimate(c, "mps", model, shots, chi=chi, features=f)
-    if f.n_qubits <= qubit_cap:
+    if f.n_qubits <= statevector.QUBIT_CAP:
         estimates["sv"] = estimate(c, "sv", model, shots, features=f)
     if not estimates:
         raise PredictionError("no backend is applicable to this circuit")

@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit
 from .sampling import SamplingError
 
 
@@ -31,19 +30,9 @@ class RunResult:
     metadata: dict = field(default_factory=dict)
 
 
-def measurement_map(c: Circuit) -> list[tuple[int, int]]:
-    """All (qubit, clbit) measure pairs in execution order."""
-    return [(i.qubits[0], i.clbit) for i in c.instructions if i.kind == "measure"]
-
-
-def clbit_order(measures: list[tuple[int, int]]) -> list[int]:
-    """Measured clbits, ascending; clbit order defines bitstring positions."""
-    return sorted({cl for _, cl in measures})
-
-
 def sample_measurement_groups(
     groups: list[tuple[tuple[int, ...], np.ndarray]],
-    measures: list[tuple[int, int]],
+    order: list[int],
     shots: int,
     rng: np.random.Generator,
 ) -> dict[str, int]:
@@ -55,10 +44,9 @@ def sample_measurement_groups(
     group's draws are made by inverse CDF: one cumulative sum and a binary
     search per shot, with no table to build.  Each draw's bits are packed
     into as many 63-bit words as the measured qubits need, so the number of
-    measured clbits is not capped.
+    measured qubits is not capped.  Keys read the qubits in ``order``, which
+    may list a qubit more than once.
     """
-    if not measures:
-        raise NoMeasurementsError("circuit has no measurements")
     words: list[np.ndarray] = []
     where: dict[int, tuple[int, int]] = {}  # qubit -> (word, bit)
     used = 63
@@ -81,13 +69,9 @@ def sample_measurement_groups(
     else:
         rows, freq = np.unique(np.stack(words, axis=1), axis=0, return_counts=True)
 
-    latest_source: dict[int, int] = {}
-    for qubit, clbit in measures:
-        latest_source[clbit] = qubit
-    clbits = sorted(latest_source, reverse=True)
-    bits = np.empty((len(rows), len(clbits)), dtype=np.uint8)
-    for pos, cl in enumerate(clbits):
-        w, j = where[latest_source[cl]]
+    bits = np.empty((len(rows), len(order)), dtype=np.uint8)
+    for pos, q in enumerate(order):
+        w, j = where[q]
         bits[:, pos] = (rows[:, w] >> j) & 1
     return counts_by_row(bits, freq)
 

@@ -24,7 +24,7 @@ from .engine import run_shots
 from .features import extract_features
 from .result import BackendError, QubitCapError, RunResult, sample_measurement_groups
 
-DEFAULT_QUBIT_CAP = 26
+QUBIT_CAP = 26  # 1 GiB of complex128 amplitudes
 
 # Amplitudes one dense kernel gathers per matmul: 128 KiB of complex128, so
 # the buffer and its product stay in cache while the state streams through.
@@ -297,18 +297,13 @@ class SvState:
     def project(self, q: int, bit: int) -> None:
         project(self.amps, q, bit)
 
-    def sample(self, measures, count: int, rng: np.random.Generator) -> dict[str, int]:
-        qubits = tuple(sorted({q for q, _ in measures}))
-        probs = marginal_probs(self.amps, self.n, qubits)
-        return sample_measurement_groups([(qubits, probs)], measures, count, rng)
+    def sample(self, qubits, count: int, rng: np.random.Generator) -> dict[str, int]:
+        group = tuple(sorted(set(qubits)))
+        probs = marginal_probs(self.amps, self.n, group)
+        return sample_measurement_groups([(group, probs)], qubits, count, rng)
 
 
-def run(
-    c: Circuit,
-    shots: int,
-    seed: int,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> RunResult:
+def run(c: Circuit, shots: int, seed: int) -> RunResult:
     """Execute a circuit and return sampled measurement counts.
 
     The circuit is fused first (``fuse``), so each kernel applies a gate
@@ -319,8 +314,8 @@ def run(
     measurements are drawn from the final state's marginal by
     ``sample_measurement_groups``.
     """
-    if c.n_qubits > qubit_cap:
-        raise QubitCapError(f"{c.n_qubits} qubits exceeds the configured cap {qubit_cap}")
+    if c.n_qubits > QUBIT_CAP:
+        raise QubitCapError(f"{c.n_qubits} qubits exceeds the cap of {QUBIT_CAP}")
     start = time.perf_counter()
     paths = []
     counts = run_shots(
@@ -337,10 +332,10 @@ def run(
     )
 
 
-def final_state(c: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def final_state(c: Circuit) -> np.ndarray:
     """The state after the circuit's gates, from one pass over the fused ops."""
-    if c.n_qubits > qubit_cap:
-        raise QubitCapError(f"{c.n_qubits} qubits exceeds the configured cap {qubit_cap}")
+    if c.n_qubits > QUBIT_CAP:
+        raise QubitCapError(f"{c.n_qubits} qubits exceeds the cap of {QUBIT_CAP}")
     if not extract_features(c).terminal_measurement_only:
         raise BackendError("a final state needs a circuit without mid-circuit collapse")
     amps = zero_state(c.n_qubits)

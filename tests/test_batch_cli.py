@@ -119,6 +119,9 @@ def test_load_directory_keeps_parse_failures(tmp_path):
     by_name = {r.name: r for r in report.records}
     assert by_name["bad"].error is not None
     assert by_name["good"].error is None
+    failed = report.to_dict()["circuits"][0]
+    assert failed["name"] == "bad" and failed["wall_seconds"] == 0.0
+    assert all(v is None for k, v in failed.items() if k not in ("name", "wall_seconds", "error"))
 
 
 def test_load_directory_requires_qasm_files(tmp_path):
@@ -133,9 +136,13 @@ def test_report_dict_schema(model):
     assert raw["policy"] == "auto"
     assert set(raw["totals"]) == {"wall_seconds", "prediction_seconds", "failures"}
     rec = raw["circuits"][0]
-    for key in (
+    assert list(rec) == [
         "name",
         "n_qubits",
+        "total_gates",
+        "two_qubit_gates",
+        "is_clifford",
+        "entanglement_proxy",
         "backend",
         "chi",
         "wall_seconds",
@@ -143,8 +150,7 @@ def test_report_dict_schema(model):
         "fidelity",
         "counts",
         "error",
-    ):
-        assert key in rec
+    ]
 
 
 # ------------------------------------------------------------------- cli
@@ -298,6 +304,26 @@ def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, caps
     layout = tmp_path / "layout.json"
     layout.write_text('{"k": "two", "capacity": 2}')
     assert run_cli("run", "--input", qasm, "--backend", "pblock", "--layout", str(layout)) == 3
+    # options the chosen backend would ignore, and thresholds no run can meet
+    for args in (
+        ("--backend", "mps", "--fidelity-threshold", "1.5"),
+        ("--backend", "mps", "--fidelity-threshold", "0"),
+        ("--backend", "sv", "--layout", "/nonexistent.json"),
+        ("--backend", "auto", "--layout", str(layout)),
+        ("--backend", "sv", "--chi", "4"),
+        ("--backend", "stab", "--chi", "4"),
+        ("--backend", "pblock", "--chi", "4"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--input", qasm, *args)
+        assert exc.value.code == 2, args
+    with pytest.raises(SystemExit) as exc:
+        run_cli("batch", "--dir", str(tmp_path), "--policy", "fixed-mps", "--fidelity-threshold", "2")
+    assert exc.value.code == 2
+    good_calib = tmp_path / "calib.json"
+    model.save(str(good_calib))
+    assert run_cli("run", "--input", qasm, "--backend", "auto", "--chi", "4",
+                   "--calib", str(good_calib)) == 0
     short = model.to_dict()
     short["sv"]["curves"]["1q"] = short["sv"]["curves"]["1q"][:1]
     calib = tmp_path / "short.json"

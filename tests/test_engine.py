@@ -324,7 +324,7 @@ def test_schedule_leaves_walks_unchanged(backend, monkeypatch):
     # Reordered kernels round differently, and a fair bit's p1 may then read
     # 0.5000000000000001, for which numpy's binomial mirrors its draw.  Both
     # runs see p1 rounded to 12 digits, so only the walk itself is compared.
-    for state_class in (statevector.SvState, mps.MpsState, pblock.ShotState):
+    for state_class in (statevector.SvState, mps.MpsState, pblock.PBlockState):
         monkeypatch.setattr(state_class, "p1", lambda self, q, p1=state_class.p1: round(p1(self, q), 12))
     circuits = [CASES[case]() for case in sorted(CASES)] + [teleport_chain(4), with_resets()]
     scheduled = [RUNNERS[backend](c, 300, 5).metadata["paths"] for c in circuits]
@@ -341,7 +341,7 @@ def test_teleport_bell_pairs_are_prepared_once(backend, monkeypatch):
         next(inst for inst in c.instructions if inst.kind == "cx" and inst.qubits == (2 * h + 1, 2 * h + 2))
         for h in range(7)
     ]
-    state_class = mps.MpsState if backend == "mps" else pblock.ShotState
+    state_class = mps.MpsState if backend == "mps" else pblock.PBlockState
     applied = Counter()
     apply = state_class.apply
 

@@ -155,6 +155,16 @@ def test_fidelity_loop_score_is_never_negative():
     assert out.fidelity == 0.0
 
 
+def test_fidelity_loop_rejects_thresholds_outside_the_unit_interval(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a threshold no score can meet must fail before any run")
+
+    monkeypatch.setattr(mps, "run", refuse)
+    for threshold in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            mps.run_with_fidelity_loop(suite.ghz_circuit(4), shots=10, seed=0, threshold=threshold)
+
+
 def test_fidelity_loop_raises_past_cap():
     dense = suite.clifford_t_circuit(6, 80, seed=2)
     with pytest.raises(mps.ChiCapError):

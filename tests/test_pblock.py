@@ -29,7 +29,7 @@ def test_one_q_gates_never_merge(rng):
         q = int(rng.integers(0, 4))
         state.apply(Instruction("ry", (q,), (float(rng.uniform(0, 3)),)))
     assert all(len(b.qubits) == 1 for b in state.blocks())
-    assert state.max_dim() == 2
+    assert state.peak == 2
 
 
 def test_ghz_merges_into_single_block():
@@ -87,14 +87,6 @@ def test_measure_factors_qubit_out(rng):
     np.testing.assert_allclose(rest.state, expected, atol=1e-12)
 
 
-def test_reset_leaves_singleton_zero(rng):
-    state = PBlockState(2)
-    state.apply(Instruction("x", (0,)))
-    state.reset(0, rng)
-    np.testing.assert_array_equal(state.block_of[0].state, [1.0, 0.0])
-    assert state.block_of[0].qubits == [0]
-
-
 def test_run_terminal_matches_exact_distribution(rng):
     for trial in range(3):
         c = random_circuit(6, 22, rng, measured=False)
@@ -149,6 +141,59 @@ def test_max_block_dim_tracks_interaction_components(rng):
     assert result.metadata["max_block_dim"] == 16
 
 
+def mid_circuit(rng: np.random.Generator) -> Circuit:
+    """A random circuit with mid-circuit measures and resets, and clbit rewrites."""
+    n = int(rng.integers(2, 7))
+    c = Circuit(n, 3)
+    for inst in random_circuit(n, int(rng.integers(4, 30)), rng, measured=False).instructions:
+        roll = rng.random()
+        q = int(rng.integers(n))
+        if roll < 0.15:
+            c.measure(q, int(rng.integers(3)))
+        elif roll < 0.22:
+            c.append(Instruction("reset", (q,)))
+        c.append(inst)
+    for q in range(n):
+        c.measure(q, q % 3)
+    return c
+
+
+def test_max_block_dim_is_the_largest_block_of_the_first_walk(rng, monkeypatch):
+    # Record the largest block after every op the engine applies or
+    # projects on the first walk's state, and nothing from inside a gadget.
+    walk: list = []  # the first walk's state
+    record: list[int] = []
+    in_apply: list = []
+    apply, project = PBlockState.apply, PBlockState.project
+
+    def note(state) -> None:
+        if not walk:
+            walk.append(state)
+        if state is walk[0] and not in_apply:
+            record.append(max(b.dim for b in state.blocks()))
+
+    def recorded_apply(self, inst):
+        in_apply.append(inst)
+        apply(self, inst)
+        in_apply.pop()
+        note(self)
+
+    def recorded_project(self, qubit, bit):
+        project(self, qubit, bit)
+        note(self)
+
+    monkeypatch.setattr(PBlockState, "apply", recorded_apply)
+    monkeypatch.setattr(PBlockState, "project", recorded_project)
+    for trial in range(60):
+        c = mid_circuit(rng)
+        layout = VqpuLayout(2, (c.n_qubits + 1) // 2)
+        for run in (lambda: pblock.run(c, 200, trial),
+                    lambda: pblock.run_distributed(c, layout, 200, trial)):
+            walk.clear()
+            record.clear()
+            assert run().metadata["max_block_dim"] == max(record, default=2)
+
+
 def test_gadget_applies_exact_nonlocal_cx(rng):
     for trial in range(8):
         prep = random_circuit(4, 10, rng, measured=False)
@@ -192,7 +237,8 @@ def test_distributed_teleport_dimension_reduction():
     gadget = result.metadata["gadgets"][0]
     assert gadget["block_dim_after"] == 8
     assert gadget["retained_dim"] == 32
-    # the gadget's transient peak includes one comm qubit at a time
+    # the local cx after the gadget joins all four qubits; gadget transients
+    # with comm qubits are not counted
     assert result.metadata["max_block_dim"] == 16
 
 

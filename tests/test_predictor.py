@@ -297,7 +297,7 @@ def test_stab_estimate_rejects_nonclifford():
 
 def test_sv_estimate_rejects_too_many_qubits():
     model = make_model()
-    c = Circuit(statevector.DEFAULT_QUBIT_CAP + 1)
+    c = Circuit(statevector.QUBIT_CAP + 1)
     c.gate("h", 0)
     with pytest.raises(PredictionError):
         estimate(c, "sv", model, shots=10)
@@ -348,7 +348,7 @@ def test_select_backend_omits_stab_for_nonclifford():
 
 def test_select_backend_omits_sv_over_cap():
     model = make_model()
-    c = Circuit(statevector.DEFAULT_QUBIT_CAP + 2)
+    c = Circuit(statevector.QUBIT_CAP + 2)
     for q in range(c.n_qubits - 1):
         c.gate("cx", q, q + 1)
     report = select_backend(c, model, shots=10)

@@ -133,8 +133,7 @@ def test_group_draws_follow_law_without_an_alias_table(monkeypatch, shots):
 
     monkeypatch.setattr(AliasTable, "from_probs", forbidden)
     probs = random_distribution(rng, 16)
-    measures = [(q, q) for q in range(4)]
-    counts = result.sample_measurement_groups([((0, 1, 2, 3), probs)], measures, shots, rng)
+    counts = result.sample_measurement_groups([((0, 1, 2, 3), probs)], [3, 2, 1, 0], shots, rng)
     expected = {format(i, "04b"): float(p) for i, p in enumerate(probs)}
     assert sum(counts.values()) == shots
     assert chisquare_pvalue(counts, expected, shots) > 1e-3
@@ -144,6 +143,6 @@ def test_inverse_cdf_never_draws_a_zero_bin(rng):
     probs = np.zeros(8)
     probs[[0, 3, 7]] = [0.5, 0.25, 0.25]
     counts = result.sample_measurement_groups(
-        [((0, 1, 2), probs)], [(q, q) for q in range(3)], 5000, rng
+        [((0, 1, 2), probs)], [2, 1, 0], 5000, rng
     )
     assert set(counts) == {"000", "011", "111"}

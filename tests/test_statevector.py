@@ -198,7 +198,8 @@ def test_qubit_cap():
     c.measure(0, 0)
     with pytest.raises(QubitCapError):
         sv.run(c, shots=1, seed=0)
-    sv.run(Circuit(5, 5).gate("h", 0).measure(0, 0), shots=1, seed=0, qubit_cap=5)
+    with pytest.raises(QubitCapError):
+        sv.final_state(c)
 
 
 def random_unitary(rng, k: int) -> np.ndarray:
