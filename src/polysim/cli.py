@@ -7,10 +7,10 @@ import os
 import sys
 import time
 
+from . import pblock
 from .batch import POLICIES, run_batch
 from .calibration import CalibrationError, CalibrationModel, calibrate
 from .circuit import CircuitError
-from . import pblock
 from .dispatch import BACKENDS, run_circuit
 from .mps import run_with_fidelity_loop
 from .partition import PartitionError, VqpuLayout
