@@ -15,7 +15,9 @@ two-site update forms theta as one ``(chi_l*2, chi) @ (chi, 2*chi_r)``
 product viewed as ``(chi_l, 4, chi_r)`` and applies the 4x4 as one broadcast
 ``matmul``, with the fixed gates' matrices laid out for it once at import
 (``_LOCAL``); a QR step absorbs R with ``@``, and across a bond of dimension
-1 it is a rescaling.
+1 it is a rescaling.  A projection cuts the collapsed site's bonds to the
+rank of its projected matrix, so a measured or reset qubit that the rest of
+the state is not entangled across leaves bonds of 1.
 
 ``MpsState`` is the state the shot engine (``polysim.engine``) walks; terminal
 draws are one batched left-to-right sweep with binomial splits (Ferris &
@@ -59,6 +61,7 @@ _SWAP = _LOCAL["swap", True]
 _BITS = (np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8))
 _SPLIT_BITS = np.array([0, 1], dtype=np.uint8)
 _SPLIT_PARENTS = np.zeros(2, dtype=np.int32)
+_ONE = np.ones(1)
 
 
 class ChiCapError(BackendError):
@@ -224,12 +227,40 @@ class MpsState:
         return float(w[1] / (w[0] + w[1]))
 
     def project(self, q: int, bit: int) -> None:
+        """Collapse qubit ``q`` onto ``|bit>``, renormalise, and cut its bonds to their rank.
+
+        The projected site matrix ``P`` is split as ``U S V^dagger`` with
+        singular values below ``REL_CUTOFF`` of the largest dropped; the
+        neighbours absorb ``U`` and ``V^dagger``, which keeps them isometric,
+        and the site keeps ``S``.  A collapsed qubit's bonds then carry their
+        rank, often 1, where ``move_center`` rescales instead of taking a QR
+        step.  When a bond is already 1, ``P`` is a vector and needs no SVD.
+        """
         self.move_center(q)
-        t = self.tensors[q]
-        piece = t[:, bit, :]
-        projected = np.zeros_like(t)
-        projected[:, bit, :] = piece / math.sqrt(np.vdot(piece, piece).real)
-        self.tensors[q] = projected
+        tensors = self.tensors
+        piece = tensors[q][:, bit, :]
+        chi_l, chi_r = piece.shape
+        piece = piece / math.sqrt(np.vdot(piece, piece).real)
+        if chi_l == 1 and chi_r == 1:
+            u, s, vh = None, piece[0], None  # a phase, which the site keeps
+        elif chi_l == 1:
+            u, s, vh = None, _ONE, piece
+        elif chi_r == 1:
+            u, s, vh = piece, _ONE, None
+        else:
+            u, s, vh = np.linalg.svd(piece, full_matrices=False)
+            k = int(np.count_nonzero(s > s[0] * REL_CUTOFF))
+            u, s, vh = u[:, :k], s[:k] / np.linalg.norm(s[:k]), vh[:k]
+        k = len(s)
+        if u is not None:
+            prev = tensors[q - 1]
+            tensors[q - 1] = (prev.reshape(-1, chi_l) @ u).reshape(prev.shape[0], 2, k)
+        if vh is not None:
+            nxt = tensors[q + 1]
+            tensors[q + 1] = (vh @ nxt.reshape(chi_r, -1)).reshape(k, 2, nxt.shape[2])
+        site = np.zeros((k, 2, k), dtype=complex)
+        site[:, bit, :] = np.diag(s)
+        tensors[q] = site
 
     def measure(self, q: int, rng: np.random.Generator) -> int:
         bit = 1 if rng.random() < self.p1(q) else 0

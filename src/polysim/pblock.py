@@ -7,7 +7,8 @@ interacted.  A measurement that splits shots projects its block and factors
 the qubit back out into a singleton, shrinking the live dimension.  The
 distributed variant places qubits on virtual QPUs via the partitioner and
 realizes cross-QPU cx gates with a telegate gadget over per-link
-communication qubit pairs.
+communication qubit pairs; a gate whose control the shot engine knows to be
+classical runs locally, with no gadget.
 
 ``PBlockState`` is the one state class: the shot engine (``polysim.engine``)
 walks it, and with a distributed program it runs cross-vQPU gates as
@@ -57,7 +58,10 @@ class PBlockState:
     With a distributed ``program``, gates across vQPUs run as telegate
     gadgets whose outcomes come from ``rng``; the corrections leave every
     outcome with the same state, so gadgets never split shots.  Gadgets are
-    logged in ``gadgets``, which copies do not carry.  ``peak`` is the
+    logged in ``gadgets``, which copies do not carry.  A cross-vQPU gate
+    controlled by a qubit of known value (a classically controlled gate)
+    costs no Bell pair: the engine hands the state its one-qubit block
+    instead (see ``polysim.engine``).  ``peak`` is the
     largest block among each applied gate's qubits; since a block grows only
     when a gate merges its own qubits, that is the largest block the state
     has held between engine ops.  A deferred measurement would keep its qubit in its block, so

@@ -203,8 +203,9 @@ def test_measure_then_h_on_its_qubit_still_splits(monkeypatch):
     calls = count_kernels(monkeypatch)
     result = statevector.run(c, 400, 2)
     assert result.metadata["paths"] == 2
-    # h folded into the first cx; then cz and h once on each of the two branches
-    assert len(calls) == 5
+    # h folded into the first cx; then on the q0 = 0 branch the cz is the
+    # identity and only h runs, and on the q0 = 1 branch it is z on q1
+    assert calls == ["fused", "h", "z", "h"]
 
 
 def test_fused_product_diagonal_only_up_to_rounding_still_splits():
@@ -228,6 +229,20 @@ def test_dead_reset_is_dropped_and_terminal_measures_stay_deferred(monkeypatch):
     result = statevector.run(c, 400, 2)
     assert result.metadata["paths"] == 1
     assert set(result.counts) == {"00", "11"}  # q0's clbit keeps its value before the reset
+
+
+@pytest.mark.parametrize("backend", sorted(RUNNERS))
+def test_dead_reset_is_dropped_on_every_backend(backend):
+    c = Circuit(3, 3)
+    c.gate("h", 0).gate("cx", 0, 1).gate("h", 2)
+    c.measure(0, 0)
+    c.append(Instruction("reset", (0,)))  # nothing touches q0 again: the measure defers
+    c.measure(2, 2)
+    c.append(Instruction("reset", (2,)))  # read by the measure below: q2 splits
+    c.measure(1, 1).measure(2, 1)
+    result = RUNNERS[backend](c, 400, 2)
+    assert result.metadata["paths"] == 2
+    assert set(result.counts) == {"000", "001", "100", "101"}  # clbit 1 reads q2 after its reset
 
 
 @pytest.mark.parametrize("backend", sorted(RUNNERS))
@@ -337,24 +352,50 @@ def test_schedule_leaves_walks_unchanged(backend, monkeypatch):
 @pytest.mark.parametrize("backend", ["mps", "pblock"])
 def test_teleport_bell_pairs_are_prepared_once(backend, monkeypatch):
     c = teleport_chain(7)
+    src, a, b = 12, 13, 14  # the last hop
     bell = [
         next(inst for inst in c.instructions if inst.kind == "cx" and inst.qubits == (2 * h + 1, 2 * h + 2))
         for h in range(7)
     ]
+    hop = next(inst for inst in c.instructions if inst.qubits == (src, a))
+    corrections = [inst for inst in c.instructions[c.instructions.index(hop):] if inst.kind in ("cx", "cz")][1:]
+    assert [(inst.kind, inst.qubits) for inst in corrections] == [("cx", (a, b)), ("cz", (src, b))]
     state_class = mps.MpsState if backend == "mps" else pblock.PBlockState
     applied = Counter()
-    apply = state_class.apply
+    projects = Counter()
+    ones = []  # per history past the measure of a: whether src read 1
+    apply, project, copy = state_class.apply, state_class.project, state_class.copy
 
     def counted(self, inst):
         applied[id(inst)] += 1
+        applied[inst.kind, inst.qubits] += 1
         apply(self, inst)
 
+    def traced_project(self, q, bit):
+        projects[q] += 1
+        if q == src:
+            self.src_bit = bit
+        elif q == a:
+            ones.append(self.src_bit)
+        project(self, q, bit)
+
+    def traced_copy(self):
+        dup = copy(self)
+        dup.src_bit = getattr(self, "src_bit", None)
+        return dup
+
     monkeypatch.setattr(state_class, "apply", counted)
+    monkeypatch.setattr(state_class, "project", traced_project)
+    monkeypatch.setattr(state_class, "copy", traced_copy)
     result = RUNNERS[backend](c, 200, 6)
     assert result.metadata["paths"] > 20
     assert [applied[id(inst)] for inst in bell] == [1] * 7
-    corrections = [inst for inst in c.instructions if inst.kind == "cz"]
-    assert applied[id(corrections[-1])] > 1  # after the splits: once per history
+    # after the splits: once per history of the previous hop's measurements
+    assert applied[id(hop)] == projects[a - 2] > 1
+    # the corrections are classically controlled: only their Pauli blocks run
+    assert [applied[id(inst)] for inst in corrections] == [0, 0]
+    assert len(ones) == projects[a] and 0 < sum(ones) < len(ones)
+    assert applied["z", (b,)] == sum(ones)
 
 
 def test_schedule_keeps_pblock_blocks(monkeypatch):
@@ -364,3 +405,135 @@ def test_schedule_keeps_pblock_blocks(monkeypatch):
     scheduled = pblock.run(c, 200, 3).metadata["max_block_dim"]
     monkeypatch.setattr(engine, "schedule", lambda ops, splits: (ops, splits))
     assert scheduled == pblock.run(c, 200, 3).metadata["max_block_dim"] == 8
+
+
+def feed_forward_circuit(rng: np.random.Generator) -> Circuit:
+    """Random gates, with measured qubits then controlling cx and cz corrections.
+
+    After each correction the measured qubit may take a Z-diagonal gate, be
+    measured again, be reset, or take an h, which ends its known value.
+    """
+    n = int(rng.integers(3, 5))
+    c = Circuit(n, n + 2)
+    for _ in range(int(rng.integers(2, 5))):
+        for inst in random_circuit(n, int(rng.integers(2, 7)), rng, measured=False).instructions:
+            c.append(inst)
+        q = int(rng.integers(n))
+        c.measure(q, int(rng.integers(n + 2)))
+        for _ in range(int(rng.integers(1, 3))):
+            r = int(rng.choice([p for p in range(n) if p != q]))
+            pair = [(q, r), (q, r), (r, q)][int(rng.integers(3))]
+            c.gate("cx" if pair[0] == q and rng.random() < 0.5 else "cz", *pair)
+            if rng.random() < 0.3:
+                kind = str(rng.choice(["z", "s", "t", "rz"]))
+                c.gate(kind, q, params=(float(rng.uniform(0, 6)),) if kind == "rz" else ())
+        roll = rng.random()
+        if roll < 0.3:
+            c.measure(q, int(rng.integers(n + 2)))
+        elif roll < 0.6:
+            c.append(Instruction("reset", (q,)))
+        elif roll < 0.8:
+            c.gate("h", q)
+    for q in range(n):
+        c.measure(q, q)
+    return c
+
+
+def test_feed_forward_from_known_qubits_runs_as_one_qubit_gates(rng, monkeypatch):
+    """No two-qubit gate whose control the walk knows reaches a state."""
+    late = []  # two-qubit gates that reached a state with a known control
+    reductions = []
+    real_reduce = engine._reduce
+
+    def counting_reduce(inst, rule, known):
+        out = real_reduce(inst, rule, known)
+        if out is not inst:
+            reductions.append(inst)
+        return out
+
+    def track(state_class):
+        apply, project, copy = state_class.apply, state_class.project, state_class.copy
+
+        def tracked_apply(self, inst):
+            known = self.__dict__.setdefault("known_bits", {})
+            for pos, q in enumerate(inst.qubits):
+                if len(inst.qubits) == 2 and q in known and engine._commutes_with_z(inst, pos):
+                    late.append(inst)
+            for pos, q in enumerate(inst.qubits):
+                if not engine._commutes_with_z(inst, pos):
+                    known.pop(q, None)
+            apply(self, inst)
+
+        def tracked_project(self, q, bit):
+            self.__dict__.setdefault("known_bits", {})[q] = bit
+            project(self, q, bit)
+
+        def tracked_copy(self):
+            dup = copy(self)
+            dup.known_bits = dict(self.__dict__.get("known_bits", {}))
+            return dup
+
+        monkeypatch.setattr(state_class, "apply", tracked_apply)
+        monkeypatch.setattr(state_class, "project", tracked_project)
+        monkeypatch.setattr(state_class, "copy", tracked_copy)
+
+    for state_class in (statevector.SvState, mps.MpsState, pblock.PBlockState):
+        track(state_class)
+    monkeypatch.setattr(engine, "_reduce", counting_reduce)
+    shots = 3000
+    reduced = Counter()
+    for trial in range(10):
+        c = feed_forward_circuit(rng)
+        law = oracle_distribution(c)
+        for name in sorted(RUNNERS):
+            before = len(reductions)
+            counts = RUNNERS[name](c, shots, 100 + trial).counts
+            assert chisquare_pvalue(counts, law, shots) > 1e-3, (trial, name)
+            assert late == [], (trial, name)
+            reduced[name] += len(reductions) - before
+    assert all(reduced[name] > 0 for name in RUNNERS), reduced
+
+
+def test_distributed_teleport_runs_gadgets_for_quantum_controlled_gates_only(monkeypatch):
+    c = teleport_chain(4)
+    layout = VqpuLayout(2, (c.n_qubits + 1) // 2)
+    program = pblock._build_program(c, layout)
+    remapped = program.remapped.instructions
+
+    def crosses(inst):
+        return len({program.vqpu_of[q] for q in inst.qubits}) == 2
+
+    # a correction is a cx or cz whose first qubit was measured before it
+    measured, classical = set(), set()
+    for k, inst in enumerate(c.instructions):
+        if inst.kind == "measure":
+            measured.add(inst.qubits[0])
+        elif inst.kind in ("cx", "cz") and inst.qubits[0] in measured:
+            classical.add(k)
+    quantum = [k for k, inst in enumerate(remapped) if len(inst.qubits) == 2 and k not in classical]
+    assert any(crosses(remapped[k]) for k in classical)  # the layout cuts a correction
+    # one shot walks once: one gadget per crossing quantum-controlled gate
+    once = pblock.run_distributed(c, layout, 1, 5)
+    assert len(once.metadata["gadgets"]) == sum(crosses(remapped[k]) for k in quantum) > 0
+
+    # every walk: gadgets (the metadata logs only the first walk's) match the
+    # crossing gates that reach the state, and no correction reaches it
+    applied, gadgets = [], []
+    apply, gadget = pblock.PBlockState.apply, pblock._gadget_cx
+
+    def counted(self, inst):
+        applied.append(inst)
+        apply(self, inst)
+
+    def counted_gadget(*args):
+        gadgets.append(args[1:3])
+        gadget(*args)
+
+    monkeypatch.setattr(pblock.PBlockState, "apply", counted)
+    monkeypatch.setattr(pblock, "_gadget_cx", counted_gadget)
+    result = pblock.run_distributed(c, layout, 300, 5)
+    assert result.metadata["paths"] > 1
+    ids = Counter(id(inst) for inst in applied)
+    assert [ids[id(remapped[k])] for k in sorted(classical)] == [0] * len(classical)
+    assert gadgets == [inst.qubits for inst in applied if crosses(inst)]
+    assert len(gadgets) > len(once.metadata["gadgets"])

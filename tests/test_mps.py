@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -367,3 +368,42 @@ def test_single_prefix_path_draws_as_the_batched_path(shots):
         codes = [sum(int(v) << q for q, v in enumerate(row)) for row in bits]
         expected = _batched_sweep(state, shots, np.random.default_rng(seed))
         assert (codes, counts.tolist()) == expected
+
+
+def test_project_cuts_bonds_to_the_rank_of_the_projected_site(rng, monkeypatch):
+    n = 6
+    calls = Counter()
+    real = {name: getattr(np.linalg, name) for name in ("qr", "svd")}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+        return call
+
+    for name in real:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    ghz_state = mps._run_unitaries(ghz(n, measured=False), chi_max=8)  # rank 1 at every site
+    cases = [(ghz_state, q, bit) for q in range(n) for bit in (0, 1)]
+    cases += [(_random_exact_state(rng, n), q, bit) for q in range(n) for bit in (0, 1)]
+    ranks = Counter()
+    for source, q, bit in cases:
+        state = source.copy()
+        state.move_center(q)
+        piece = state.tensors[q][:, bit, :]
+        rank = int(np.linalg.matrix_rank(piece))
+        amps = state.to_statevector()
+        statevector.project(amps, q, bit)
+        calls.clear()
+        state.project(q, bit)
+        assert calls["svd"] == (0 if min(piece.shape) == 1 else 1)
+        if rank == 1:  # the bonds around q are 1, so the center crosses them by rescaling
+            state.move_center(max(q - 1, 0))
+            state.move_center(min(q + 1, n - 1))
+            assert calls["qr"] == 0
+        dims = [1] + state.bond_dims() + [1]
+        assert dims[q] == dims[q + 1] == rank
+        np.testing.assert_allclose(state.to_statevector(), amps, rtol=0, atol=1e-12)
+        _assert_canonical(state)
+        ranks[rank] += 1
+    assert sorted(ranks) == [1, 2, 4]  # the random state's sites project to ranks 1, 2 and 4
