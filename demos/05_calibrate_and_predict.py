@@ -13,17 +13,21 @@ import os
 import tempfile
 import time
 
-from polysim.calibration import CalibrationModel, calibrate
+from polysim.calibration import PRICED, CalibrationModel, calibrate
 from polysim.predictor import estimate, select_backend
 from polysim import suite
 
 t0 = time.perf_counter()
 model = calibrate(seed=0)
 print(f"calibrated in {time.perf_counter() - t0:.1f}s on this machine")
-print(f"  sv 2q coefficient at n=12:        {model.sv_coef('2q', 12):.3e}")
-print(f"  mps 2q coefficient at n=12,chi=8: {model.mps_coef('2q', 12, 8):.3e}")
+# model.seconds(backend, n, chi) prices one op of each class on n qubits
+# at bond dimension chi (1 for sv and stab), in calibration.PRICED's order.
+for backend, n, chi in (("sv", 12, 1), ("mps", 12, 8), ("stab", 12, 1)):
+    priced = zip(PRICED[backend], model.seconds(backend, n, chi))
+    print(f"  {backend:<4} n={n} chi={chi}: "
+          + ", ".join(f"{klass} {s:.2e}s" for klass, s in priced))
 print(f"  per-shot slope sv / mps / stab:   "
-      + " / ".join(f"{model.shot_coeffs[b][1]:.2e}" for b in ("sv", "mps", "stab")))
+      + " / ".join(f"{model.tables[b].shots[1]:.2e}" for b in ("sv", "mps", "stab")))
 
 print("\npredicted seconds at 1000 shots:")
 for c in (suite.ghz_circuit(20), suite.clifford_circuit(20, 40, seed=5),

@@ -1,12 +1,13 @@
 """Batch execution of circuit directories under a routing policy.
 
-Policies: fixed-sv-threshold runs the state-vector backend up to 30 qubits
-and the tensor-network backend above; fixed-mps and fixed-stab pin one
-backend; auto asks the predictor per circuit and reuses the features it
-extracted, so each circuit is analysed once.  Tensor-network runs always
-go through the fidelity loop (threshold 0.95, bond dimension doubling
-from 4, each chi scored by 1 - eps over the run's worst path).  A circuit
-that fails is recorded and the batch continues.
+Policies: fixed-sv-threshold runs the state-vector backend up to its qubit
+cap (``statevector.QUBIT_CAP``) and the tensor-network backend above;
+fixed-mps and fixed-stab pin one backend; auto asks the predictor per
+circuit and reuses the features it extracted, so each circuit is analysed
+once.  Tensor-network runs always go through the fidelity loop (threshold
+0.95, bond dimension doubling from 4, each chi scored by 1 - eps over the
+run's worst path).  A circuit that fails is recorded and the batch
+continues.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 
+from . import statevector
 from .calibration import CalibrationModel
 from .circuit import Circuit
 from .dispatch import run_circuit
@@ -25,7 +27,6 @@ from .qasm import parse_qasm_file
 
 REPORT_VERSION = 1
 POLICIES = ("fixed-sv-threshold", "fixed-mps", "fixed-stab", "auto")
-SV_THRESHOLD_QUBITS = 30
 
 
 @dataclass
@@ -134,7 +135,7 @@ def run_batch(
                 backend = report.chosen
                 predicted = report.estimates[backend]
             elif policy == "fixed-sv-threshold":
-                backend = "sv" if c.n_qubits <= SV_THRESHOLD_QUBITS else "mps"
+                backend = "sv" if c.n_qubits <= statevector.QUBIT_CAP else "mps"
             elif policy == "fixed-mps":
                 backend = "mps"
             else:

@@ -1,10 +1,11 @@
 """Host timing calibration for the runtime cost model.
 
-Calibration times small synthetic workloads on the current machine and
-fits one coefficient per (backend, gate class, size) grid point, plus a
-per-backend linear shot model.  Every sample is the median of several
-repetitions, and each repetition loops the operation until it runs long
-enough for the wall clock to resolve it.
+Calibration times small synthetic workloads on the current machine.  For
+each priced backend it stores one table: per op class, the measured
+seconds of one op at each (n, chi) grid point divided by the class's cost
+unit in ``PRICED``, plus a linear shot model.  Every sample is the median
+of several repetitions, and each repetition loops the operation until it
+runs long enough for the wall clock to resolve it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import itertools
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -20,18 +21,45 @@ import numpy as np
 from . import statevector
 from .circuit import Circuit, Instruction
 from .gates import single_qubit_matrix, two_qubit_matrix
-from .interpolate import MonotoneCurve, TensorSurface
+from .interpolate import TensorSurface
 from .mps import MpsState
 from .stabilizer import Tableau
 
-# Version 3: the sv "1q" curve is a one-qubit gate's share of
-# ``statevector.fuse``, not a kernel of its own.
-MODEL_VERSION = 3
+# Version 4: one table per priced backend, laid out by ``PRICED``.
+MODEL_VERSION = 4
 _COEF_FLOOR = 1e-12
 
 
 class CalibrationError(RuntimeError):
     pass
+
+
+def _amplitudes(n: int, chi: int) -> float:
+    return float(1 << n)
+
+
+def _site(n: int, chi: int) -> float:
+    return float(chi) ** 2
+
+
+def _chain(n: int, chi: int) -> float:
+    return float(n) * chi**3
+
+
+def _tableau(n: int, chi: int) -> float:
+    return float(n) * n
+
+
+# The priced backends in the selector's tie order (on equal estimates the
+# smaller state wins), each with its op classes and the unit that a class's
+# coefficient multiplies: one op of that class on n qubits at bond
+# dimension chi costs coefficient(n, chi) * unit(n, chi) seconds.  sv and
+# stab have no bond dimension and are priced at chi = 1.
+PRICED = {
+    "stab": {"gate": _tableau, "measure": _tableau},
+    "mps": {"1q": _site, "2q": _chain, "measure": _chain},
+    "sv": {"1q": _amplitudes, "2q": _amplitudes},
+}
 
 
 @dataclass(frozen=True)
@@ -67,119 +95,97 @@ def _positive(value: float) -> float:
     return max(float(value), _COEF_FLOOR)
 
 
+def _check_version(version) -> None:
+    if version != MODEL_VERSION:
+        raise CalibrationError(
+            f"calibration version {version} is not supported (expected "
+            f"{MODEL_VERSION}); run `polysim calibrate` on this machine to rebuild it"
+        )
+
+
+@dataclass(frozen=True)
+class BackendTable:
+    """One backend's calibration: per class, rows over ``grid_n`` of
+    coefficients over ``grid_chi``, and the shot model ``(c1, c2)``."""
+
+    grid_n: tuple[int, ...]
+    grid_chi: tuple[int, ...]
+    coefs: dict[str, tuple[tuple[float, ...], ...]]
+    shots: tuple[float, float]
+
+
 @dataclass
 class CalibrationModel:
     version: int
     created: str
-    sv_grid: tuple[int, ...]
-    sv_curves: dict[str, tuple[float, ...]]
-    mps_grid_n: tuple[int, ...]
-    mps_grid_chi: tuple[int, ...]
-    mps_surfaces: dict[str, tuple[tuple[float, ...], ...]]
-    stab_grid: tuple[int, ...]
-    stab_curves: dict[str, tuple[float, ...]]
-    shot_coeffs: dict[str, tuple[float, float]]
-    _sv: dict[str, MonotoneCurve] = field(init=False, repr=False)
-    _mps: dict[str, TensorSurface] = field(init=False, repr=False)
-    _stab: dict[str, MonotoneCurve] = field(init=False, repr=False)
+    tables: dict[str, BackendTable]
+    _surfaces: dict[str, list[TensorSurface]] = field(init=False, repr=False)
+    _seconds: dict[tuple, tuple[float, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.validate()
-        self._sv = {k: MonotoneCurve(self.sv_grid, v) for k, v in self.sv_curves.items()}
-        self._mps = {
-            k: TensorSurface(self.mps_grid_n, self.mps_grid_chi, v)
-            for k, v in self.mps_surfaces.items()
-        }
-        self._stab = {k: MonotoneCurve(self.stab_grid, v) for k, v in self.stab_curves.items()}
+        self._surfaces = {}
+        for backend, classes in PRICED.items():
+            t = self.tables[backend]
+            self._surfaces[backend] = [
+                TensorSurface(t.grid_n, t.grid_chi, t.coefs[klass]) for klass in classes
+            ]
+        self._seconds = {}
 
     def validate(self) -> None:
-        if self.version != MODEL_VERSION:
-            raise CalibrationError(
-                f"calibration version {self.version} is not supported "
-                f"(expected {MODEL_VERSION})"
+        _check_version(self.version)
+        for backend, classes in PRICED.items():
+            t = self.tables.get(backend)
+            if t is None:
+                raise CalibrationError(f"no calibration table for backend {backend!r}")
+            for klass in classes:
+                if klass not in t.coefs:
+                    raise CalibrationError(f"{backend} table missing class {klass!r}")
+            flat = [c for rows in t.coefs.values() for row in rows for c in row]
+            if len(t.shots) != 2 or any(not (c > 0) for c in flat + list(t.shots)):
+                raise CalibrationError(
+                    f"{backend} needs positive coefficients and a shot pair (c1, c2)"
+                )
+
+    def seconds(self, backend: str, n: int, chi: int = 1) -> tuple[float, ...]:
+        """Seconds of one op of each of ``backend``'s classes, in ``PRICED`` order.
+
+        Kept per (backend, n, chi): the selector asks for few distinct sizes.
+        """
+        key = (backend, n, chi)
+        priced = self._seconds.get(key)
+        if priced is None:
+            units = PRICED[backend].values()
+            priced = tuple(
+                surface(n, chi) * unit(n, chi)
+                for surface, unit in zip(self._surfaces[backend], units)
             )
-        for name, grid in (
-            ("sv", self.sv_grid),
-            ("mps n", self.mps_grid_n),
-            ("mps chi", self.mps_grid_chi),
-            ("stab", self.stab_grid),
-        ):
-            if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-                raise CalibrationError(f"{name} grid must be non-empty and increasing")
-        for klass in ("1q", "2q"):
-            if klass not in self.sv_curves:
-                raise CalibrationError(f"sv curves missing class {klass!r}")
-        for klass in ("1q", "2q", "measure"):
-            if klass not in self.mps_surfaces:
-                raise CalibrationError(f"mps surfaces missing class {klass!r}")
-        for klass in ("gate", "measure"):
-            if klass not in self.stab_curves:
-                raise CalibrationError(f"stab curves missing class {klass!r}")
-        flat = [c for curve in self.sv_curves.values() for c in curve]
-        flat += [c for surf in self.mps_surfaces.values() for row in surf for c in row]
-        flat += [c for curve in self.stab_curves.values() for c in curve]
-        flat += [c for pair in self.shot_coeffs.values() for c in pair]
-        if any(not (c > 0) for c in flat):
-            raise CalibrationError("all calibrated coefficients must be positive")
-        for backend in ("sv", "mps", "stab"):
-            if backend not in self.shot_coeffs:
-                raise CalibrationError(f"shot coefficients missing backend {backend!r}")
-
-    def sv_coef(self, klass: str, n: int) -> float:
-        return self._sv[klass](n)
-
-    def mps_coef(self, klass: str, n: int, chi: int) -> float:
-        return self._mps[klass](n, chi)
-
-    def stab_coef(self, klass: str, n: int) -> float:
-        return self._stab[klass](n)
+            self._seconds[key] = priced
+        return priced
 
     def to_dict(self) -> dict:
         return {
             "version": self.version,
             "created": self.created,
-            "sv": {
-                "grid_n": list(self.sv_grid),
-                "curves": {k: list(v) for k, v in self.sv_curves.items()},
-            },
-            "mps": {
-                "grid_n": list(self.mps_grid_n),
-                "grid_chi": list(self.mps_grid_chi),
-                "surfaces": {
-                    k: [list(row) for row in v] for k, v in self.mps_surfaces.items()
-                },
-            },
-            "stab": {
-                "grid_n": list(self.stab_grid),
-                "curves": {k: list(v) for k, v in self.stab_curves.items()},
-            },
-            "shots": {
-                k: {"c1": c1, "c2": c2} for k, (c1, c2) in self.shot_coeffs.items()
-            },
+            "tables": {backend: asdict(t) for backend, t in self.tables.items()},
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CalibrationModel":
         try:
-            return cls(
-                version=raw["version"],
-                created=raw["created"],
-                sv_grid=tuple(raw["sv"]["grid_n"]),
-                sv_curves={k: tuple(v) for k, v in raw["sv"]["curves"].items()},
-                mps_grid_n=tuple(raw["mps"]["grid_n"]),
-                mps_grid_chi=tuple(raw["mps"]["grid_chi"]),
-                mps_surfaces={
-                    k: tuple(tuple(row) for row in v)
-                    for k, v in raw["mps"]["surfaces"].items()
-                },
-                stab_grid=tuple(raw["stab"]["grid_n"]),
-                stab_curves={k: tuple(v) for k, v in raw["stab"]["curves"].items()},
-                shot_coeffs={
-                    k: (v["c1"], v["c2"]) for k, v in raw["shots"].items()
-                },
-            )
+            _check_version(raw["version"])
+            tables = {}
+            for backend, t in raw["tables"].items():
+                tables[backend] = BackendTable(
+                    grid_n=tuple(t["grid_n"]),
+                    grid_chi=tuple(t["grid_chi"]),
+                    coefs={k: tuple(map(tuple, rows)) for k, rows in t["coefs"].items()},
+                    shots=tuple(t["shots"]),
+                )
+            return cls(version=raw["version"], created=raw["created"], tables=tables)
         except (KeyError, TypeError, ValueError) as exc:
-            # ValueError: a curve or surface whose shape does not fit its grid.
+            # ValueError: a grid that is empty or not increasing, or
+            # coefficients whose shape does not fit their grid.
             raise CalibrationError(f"malformed calibration data: {exc}") from exc
 
     def save(self, path: str) -> None:
@@ -202,8 +208,8 @@ class CalibrationModel:
         return cls.from_dict(raw)
 
 
-def _sv_point(n: int, reps: int, min_seconds: float) -> tuple[float, float]:
-    """Seconds per amplitude of a one- and a two-qubit gate as sv runs them.
+def _sv_point(n: int, reps: int, min_seconds: float) -> dict[str, float]:
+    """Seconds of a one- and a two-qubit gate as sv runs them.
 
     ``statevector.fuse`` folds each one-qubit gate into the next two-qubit
     gate on its qubit, so a one-qubit gate costs its share of the fusion
@@ -221,13 +227,12 @@ def _sv_point(n: int, reps: int, min_seconds: float) -> tuple[float, float]:
     t2 = _median_seconds(
         lambda: statevector.apply_2q(amps, n, *next(pairs), fused), reps, min_seconds
     )
-    dim = float(1 << n)
-    return _positive(t1 / dim), _positive(t2 / dim)
+    return {"1q": t1, "2q": t2}
 
 
 def _mps_point(
     n: int, chi: int, reps: int, min_seconds: float, rng: np.random.Generator
-) -> tuple[float, float, float]:
+) -> dict[str, float]:
     state = MpsState.random(n, chi, rng)
     u = single_qubit_matrix("u", (0.4, 0.2, 0.9))
     cx = two_qubit_matrix("cx")
@@ -245,17 +250,12 @@ def _mps_point(
             clone.measure(q, rng)
 
     t_meas = (_median_seconds(measure_clone, reps, min_seconds) - t_copy) / n
-    unit_2q = float(n) * chi**3
-    return (
-        _positive(t1 / chi**2),
-        _positive(t2 / unit_2q),
-        _positive(t_meas / unit_2q),
-    )
+    return {"1q": t1, "2q": t2, "measure": t_meas}
 
 
 def _stab_point(
     n: int, reps: int, min_seconds: float, rng: np.random.Generator
-) -> tuple[float, float]:
+) -> dict[str, float]:
     tab = Tableau(n)
     for _ in range(3 * n):
         q = int(rng.integers(n))
@@ -280,8 +280,7 @@ def _stab_point(
             clone.measure(q, rng)
 
     t_meas = (_median_seconds(measure_clone, reps, min_seconds) - t_copy) / n
-    unit = float(n) * n
-    return _positive(t_gate / unit), _positive(t_meas / unit)
+    return {"gate": t_gate, "measure": t_meas}
 
 
 def _terminal_workload() -> Circuit:
@@ -334,49 +333,33 @@ def calibrate(config: CalibrationConfig | None = None, seed: int = 0) -> Calibra
     cfg = config or CalibrationConfig()
     rng = np.random.default_rng(seed)
     reps, floor = cfg.repetitions, cfg.min_sample_seconds
-
-    sv_1q, sv_2q = [], []
-    for n in cfg.sv_grid:
-        a, b = _sv_point(n, reps, floor)
-        sv_1q.append(a)
-        sv_2q.append(b)
-
-    mps_1q, mps_2q, mps_meas = [], [], []
-    for n in cfg.mps_grid_n:
-        row_1q, row_2q, row_meas = [], [], []
-        for chi in cfg.mps_grid_chi:
-            a, b, m = _mps_point(n, chi, reps, floor, rng)
-            row_1q.append(a)
-            row_2q.append(b)
-            row_meas.append(m)
-        mps_1q.append(tuple(row_1q))
-        mps_2q.append(tuple(row_2q))
-        mps_meas.append(tuple(row_meas))
-
-    stab_gate, stab_meas = [], []
-    for n in cfg.stab_grid:
-        g, m = _stab_point(n, reps, floor, rng)
-        stab_gate.append(g)
-        stab_meas.append(m)
-
-    shot_coeffs = {
-        backend: _fit_shot_coeffs(backend, cfg.shot_counts, reps, floor)
-        for backend in ("sv", "mps", "stab")
+    # Each backend's grid and the timer of one point, which returns seconds
+    # per op by class.  sv times first and draws nothing, so a seed gives
+    # the same mps and stab states in this order.
+    points = {
+        "sv": (cfg.sv_grid, (1,), lambda n, chi: _sv_point(n, reps, floor)),
+        "mps": (
+            cfg.mps_grid_n,
+            cfg.mps_grid_chi,
+            lambda n, chi: _mps_point(n, chi, reps, floor, rng),
+        ),
+        "stab": (cfg.stab_grid, (1,), lambda n, chi: _stab_point(n, reps, floor, rng)),
     }
+    tables = {}
+    for backend, (grid_n, grid_chi, point) in points.items():
+        times = [[point(n, chi) for chi in grid_chi] for n in grid_n]
+        coefs = {
+            klass: tuple(
+                tuple(_positive(t[klass] / unit(n, chi)) for t, chi in zip(row, grid_chi))
+                for row, n in zip(times, grid_n)
+            )
+            for klass, unit in PRICED[backend].items()
+        }
+        shots = _fit_shot_coeffs(backend, cfg.shot_counts, reps, floor)
+        tables[backend] = BackendTable(tuple(grid_n), tuple(grid_chi), coefs, shots)
 
     return CalibrationModel(
         version=MODEL_VERSION,
         created=datetime.now(timezone.utc).isoformat(),
-        sv_grid=tuple(cfg.sv_grid),
-        sv_curves={"1q": tuple(sv_1q), "2q": tuple(sv_2q)},
-        mps_grid_n=tuple(cfg.mps_grid_n),
-        mps_grid_chi=tuple(cfg.mps_grid_chi),
-        mps_surfaces={
-            "1q": tuple(mps_1q),
-            "2q": tuple(mps_2q),
-            "measure": tuple(mps_meas),
-        },
-        stab_grid=tuple(cfg.stab_grid),
-        stab_curves={"gate": tuple(stab_gate), "measure": tuple(stab_meas)},
-        shot_coeffs=shot_coeffs,
+        tables=tables,
     )

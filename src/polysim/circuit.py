@@ -111,13 +111,6 @@ class Circuit:
             self.measure(q, q)
         return self
 
-    def structurally_equal(self, other: "Circuit") -> bool:
-        return (
-            self.n_qubits == other.n_qubits
-            and self.n_clbits == other.n_clbits
-            and self.instructions == other.instructions
-        )
-
 
 def is_clifford(c: Circuit) -> bool:
     """True when every instruction kind is tableau-simulable."""

@@ -58,10 +58,10 @@ class PBlockState:
     With a distributed ``program``, gates across vQPUs run as telegate
     gadgets whose outcomes come from ``rng``; the corrections leave every
     outcome with the same state, so gadgets never split shots.  Gadgets are
-    logged in ``gadgets``, which copies do not carry.  A cross-vQPU gate
-    controlled by a qubit of known value (a classically controlled gate)
-    costs no Bell pair: the engine hands the state its one-qubit block
-    instead (see ``polysim.engine``).  ``peak`` is the
+    logged in ``gadgets``, one list that copies share, so it holds every
+    walk's gadgets.  A cross-vQPU gate controlled by a qubit of known value
+    (a classically controlled gate) costs no Bell pair: the engine hands
+    the state its one-qubit block instead (see ``polysim.engine``).  ``peak`` is the
     largest block among each applied gate's qubits; since a block grows only
     when a gate merges its own qubits, that is the largest block the state
     has held between engine ops.  A deferred measurement would keep its qubit in its block, so
@@ -87,7 +87,7 @@ class PBlockState:
         return list({id(b): b for b in self.block_of.values()}.values())
 
     def copy(self) -> "PBlockState":
-        dup = PBlockState(0, self.program, self.rng)
+        dup = PBlockState(0, self.program, self.rng, self.gadgets)
         dup.n, dup.peak = self.n, self.peak
         twins = {id(b): Block(list(b.qubits), b.state.copy()) for b in self.blocks()}
         dup.block_of = {q: twins[id(b)] for q, b in self.block_of.items()}
@@ -309,7 +309,9 @@ def run_distributed(c: Circuit, layout: VqpuLayout, shots: int, seed: int) -> Ru
     """Execute across virtual QPUs after cut-minimizing qubit placement.
 
     The shot engine walks the remapped circuit as ``run`` does; gadget
-    outcomes and the engine's splits and draws share one generator.
+    outcomes and the engine's splits and draws share one generator.  The
+    ``gadgets`` metadata logs each gadget of every walk: one per Bell pair
+    the run consumes.
     """
     start = time.perf_counter()
     program = _build_program(c, layout)

@@ -1,17 +1,16 @@
 """Runtime prediction and backend selection from a calibration model.
 
-The estimate for a circuit is a sum over gate classes of
-count * calibrated coefficient * theoretical operation cost, plus a
-per-backend linear shot term.  Operation costs: state vector 2^n for
-every class, tensor network chi^2 for one-qubit gates and n * chi^3 for
-two-qubit gates and measurements, tableau n^2 throughout.
+The estimate for a circuit is a sum over op classes of count * seconds
+per op, plus a per-backend linear shot term.  The model prices one op of
+each class as its calibrated coefficient times the class's cost unit
+(``calibration.PRICED``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import statevector
-from .calibration import CalibrationModel
+from .calibration import PRICED, CalibrationModel
 from .circuit import Circuit
 from .features import CircuitFeatures, extract_features
 from .result import BackendError
@@ -52,10 +51,10 @@ def estimate(
     n_1q = counts["1q-clifford"] + counts["1q-nonclifford"]
     n_2q = counts["2q"]
     n_meas = counts["measure"] + counts["reset"]
-    try:
-        c1, c2 = model.shot_coeffs[backend]
-    except KeyError:
-        raise PredictionError(f"unknown backend {backend!r}") from None
+    table = model.tables.get(backend)
+    if table is None:
+        raise PredictionError(f"unknown backend {backend!r}")
+    c1, c2 = table.shots
     shot_term = c1 + c2 * shots
 
     if backend == "sv":
@@ -64,40 +63,23 @@ def estimate(
                 f"{n} qubits exceeds the state-vector cap "
                 f"({statevector.QUBIT_CAP})"
             )
-        dim = float(1 << n)
-        gate_term = (
-            n_1q * model.sv_coef("1q", n) + n_2q * model.sv_coef("2q", n)
-        ) * dim
-        return gate_term + shot_term
+        s_1q, s_2q = model.seconds("sv", n)
+        return n_1q * s_1q + n_2q * s_2q + shot_term
 
     if backend == "mps":
         x = chi if chi is not None else policy_chi(f)
         if x < 1:
             raise ValueError("chi must be >= 1")
-        unit_2q = float(n) * x**3
-        gate_term = (
-            n_1q * model.mps_coef("1q", n, x) * x**2
-            + n_2q * model.mps_coef("2q", n, x) * unit_2q
-            + n_meas * model.mps_coef("measure", n, x) * unit_2q
-        )
-        return gate_term + shot_term
+        s_1q, s_2q, s_meas = model.seconds("mps", n, x)
+        return n_1q * s_1q + n_2q * s_2q + n_meas * s_meas + shot_term
 
     if backend == "stab":
         if not f.is_clifford:
             raise PredictionError("tableau backend needs a Clifford-only circuit")
-        unit = float(n) * n
-        gate_term = (
-            (n_1q + n_2q) * model.stab_coef("gate", n) * unit
-            + n_meas * model.stab_coef("measure", n) * unit
-        )
-        return gate_term + shot_term
+        s_gate, s_meas = model.seconds("stab", n)
+        return (n_1q + n_2q) * s_gate + n_meas * s_meas + shot_term
 
     raise PredictionError(f"unknown backend {backend!r}")
-
-
-# Lower value wins ties; the cheaper-memory backend is preferred when the
-# predicted times come out equal.
-_TIE_ORDER = {"stab": 0, "mps": 1, "sv": 2}
 
 
 @dataclass(frozen=True)
@@ -112,13 +94,10 @@ def select_backend(c: Circuit, model: CalibrationModel, shots: int) -> Predictio
     """Estimate every applicable backend and pick the fastest."""
     f = extract_features(c)
     chi = policy_chi(f)
-    estimates: dict[str, float] = {}
-    if f.is_clifford:
-        estimates["stab"] = estimate(c, "stab", model, shots, features=f)
-    estimates["mps"] = estimate(c, "mps", model, shots, chi=chi, features=f)
-    if f.n_qubits <= statevector.QUBIT_CAP:
-        estimates["sv"] = estimate(c, "sv", model, shots, features=f)
-    if not estimates:
-        raise PredictionError("no backend is applicable to this circuit")
-    chosen = min(estimates, key=lambda b: (estimates[b], _TIE_ORDER[b]))
+    applies = {"stab": f.is_clifford, "mps": True, "sv": f.n_qubits <= statevector.QUBIT_CAP}
+    estimates = {
+        b: estimate(c, b, model, shots, chi=chi, features=f) for b in PRICED if applies[b]
+    }
+    # min keeps the first of equal estimates, so ties follow PRICED's order
+    chosen = min(estimates, key=estimates.__getitem__)
     return PredictionReport(chosen=chosen, estimates=estimates, chi=chi, features=f)

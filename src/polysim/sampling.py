@@ -24,10 +24,9 @@ class AliasTable:
     size: int
     prob: np.ndarray   # acceptance threshold per bin, in [0, 1]
     alias: np.ndarray  # redirect target per bin
-    outcomes: list | None = None
 
     @classmethod
-    def from_probs(cls, probs: np.ndarray, outcomes: list | None = None) -> "AliasTable":
+    def from_probs(cls, probs: np.ndarray) -> "AliasTable":
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise SamplingError("need a non-empty 1-D probability vector")
@@ -67,13 +66,7 @@ class AliasTable:
             larges = larges[~converted]
             remaining = remaining[~converted]
 
-        return cls(size=m, prob=prob_row, alias=alias_row, outcomes=outcomes)
-
-    @classmethod
-    def from_distribution(cls, dist: dict) -> "AliasTable":
-        outcomes = sorted(dist)
-        probs = np.array([dist[k] for k in outcomes], dtype=float)
-        return cls.from_probs(probs, outcomes=outcomes)
+        return cls(size=m, prob=prob_row, alias=alias_row)
 
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n outcome indices: one uniform and one comparison each."""
@@ -82,20 +75,9 @@ class AliasTable:
         frac = v - idx
         return np.where(frac < self.prob[idx], idx, self.alias[idx])
 
-    def sample_one(self, rng: np.random.Generator) -> int:
-        v = rng.random() * self.size
-        idx = int(v)
-        return idx if (v - idx) < self.prob[idx] else int(self.alias[idx])
-
     def reconstructed_probs(self) -> np.ndarray:
         """Recover the bin probabilities the table encodes (for validation)."""
         rec = self.prob.copy()
         np.add.at(rec, self.alias, 1.0 - self.prob)
         return rec / self.size
 
-
-def counts_to_distribution(counts: dict[str, int]) -> dict[str, float]:
-    total = sum(counts.values())
-    if total <= 0:
-        raise SamplingError("empty counts")
-    return {k: v / total for k, v in counts.items()}

@@ -76,10 +76,11 @@ def test_mps_records_carry_chi_and_fidelity():
 
 def test_sv_threshold_policy_splits_on_qubit_count():
     report = run_batch(
-        [ghz_circuit(4), ghz_circuit(32)], "fixed-sv-threshold", shots=50, seed=1
+        [ghz_circuit(4), ghz_circuit(28), ghz_circuit(32)], "fixed-sv-threshold", shots=50, seed=1
     )
     by_name = {r.name: r for r in report.records}
     assert by_name["ghz_4"].backend == "sv"
+    assert by_name["ghz_28"].backend == "mps"  # above statevector.QUBIT_CAP
     assert by_name["ghz_32"].backend == "mps"
     assert all(r.error is None for r in report.records)
 
@@ -325,7 +326,7 @@ def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, caps
     assert run_cli("run", "--input", qasm, "--backend", "auto", "--chi", "4",
                    "--calib", str(good_calib)) == 0
     short = model.to_dict()
-    short["sv"]["curves"]["1q"] = short["sv"]["curves"]["1q"][:1]
+    short["tables"]["sv"]["coefs"]["1q"] = short["tables"]["sv"]["coefs"]["1q"][:1]
     calib = tmp_path / "short.json"
     calib.write_text(json.dumps(short))
     assert run_cli("run", "--input", qasm, "--backend", "auto", "--calib", str(calib)) == 3

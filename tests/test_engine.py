@@ -516,7 +516,7 @@ def test_distributed_teleport_runs_gadgets_for_quantum_controlled_gates_only(mon
     once = pblock.run_distributed(c, layout, 1, 5)
     assert len(once.metadata["gadgets"]) == sum(crosses(remapped[k]) for k in quantum) > 0
 
-    # every walk: gadgets (the metadata logs only the first walk's) match the
+    # every walk: the gadgets, each logged in the metadata, match the
     # crossing gates that reach the state, and no correction reaches it
     applied, gadgets = [], []
     apply, gadget = pblock.PBlockState.apply, pblock._gadget_cx
@@ -536,4 +536,4 @@ def test_distributed_teleport_runs_gadgets_for_quantum_controlled_gates_only(mon
     ids = Counter(id(inst) for inst in applied)
     assert [ids[id(remapped[k])] for k in sorted(classical)] == [0] * len(classical)
     assert gadgets == [inst.qubits for inst in applied if crosses(inst)]
-    assert len(gadgets) > len(once.metadata["gadgets"])
+    assert len(result.metadata["gadgets"]) == len(gadgets) > len(once.metadata["gadgets"])

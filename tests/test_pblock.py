@@ -357,9 +357,11 @@ def test_distributed_mid_circuit_reports_gadgets():
     result = pblock.run_distributed(c, VqpuLayout(2, 2), shots=400, seed=4)
     permutation = {int(k): v for k, v in result.metadata["permutation"].items()}
     vqpu = {q: permutation[q] // 2 for q in range(4)}
-    crossing = sum(
-        1 for a, b in ((0, 2), (2, 3), (3, 1)) if vqpu[a] != vqpu[b]
-    )
-    assert crossing > 0
-    assert len(result.metadata["gadgets"]) == crossing
+    # cx(0, 2) runs once, before the split at measure(2, 0); cx(2, 3) and
+    # cx(3, 1) run once on each of the two walks after it
+    before = int(vqpu[0] != vqpu[2])
+    after = sum(1 for a, b in ((2, 3), (3, 1)) if vqpu[a] != vqpu[b])
+    assert before + after > 0
+    assert result.metadata["paths"] == 2
+    assert len(result.metadata["gadgets"]) == before + 2 * after
     assert result.metadata["max_block_dim"] >= 4

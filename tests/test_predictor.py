@@ -7,8 +7,10 @@ import pytest
 from conftest import ghz, qft, random_circuit
 
 from polysim import statevector
+from polysim import calibration
 from polysim.calibration import (
     MODEL_VERSION,
+    BackendTable,
     CalibrationConfig,
     CalibrationError,
     CalibrationModel,
@@ -170,41 +172,38 @@ def make_model(
     shots_stab=(5e-5, 4e-6),
 ):
     """Model whose curves are constant, so estimates are exact arithmetic."""
-    const = lambda v: (v, v)
-    surf = lambda v: ((v, v), (v, v))
+
+    def table(grid_n, grid_chi, shots, **coefs):
+        rows = lambda v: tuple(tuple(v for _ in grid_chi) for _ in grid_n)
+        return BackendTable(grid_n, grid_chi, {k: rows(v) for k, v in coefs.items()}, shots)
+
     return CalibrationModel(
         version=MODEL_VERSION,
         created="2026-08-16T00:00:00+00:00",
-        sv_grid=(2, 20),
-        sv_curves={"1q": const(sv_1q), "2q": const(sv_2q)},
-        mps_grid_n=(4, 24),
-        mps_grid_chi=(2, 64),
-        mps_surfaces={
-            "1q": surf(mps_1q),
-            "2q": surf(mps_2q),
-            "measure": surf(mps_meas),
+        tables={
+            "stab": table((4, 64), (1,), shots_stab, gate=stab_gate, measure=stab_meas),
+            "mps": table(
+                (4, 24), (2, 64), shots_mps, **{"1q": mps_1q, "2q": mps_2q, "measure": mps_meas}
+            ),
+            "sv": table((2, 20), (1,), shots_sv, **{"1q": sv_1q, "2q": sv_2q}),
         },
-        stab_grid=(4, 64),
-        stab_curves={"gate": const(stab_gate), "measure": const(stab_meas)},
-        shot_coeffs={"sv": shots_sv, "mps": shots_mps, "stab": shots_stab},
     )
 
 
 def scaled_model(model, factor):
-    scale = lambda seq: tuple(factor * v for v in seq)
+    scale = lambda rows: tuple(tuple(factor * v for v in row) for row in rows)
     return CalibrationModel(
         version=model.version,
         created=model.created,
-        sv_grid=model.sv_grid,
-        sv_curves={k: scale(v) for k, v in model.sv_curves.items()},
-        mps_grid_n=model.mps_grid_n,
-        mps_grid_chi=model.mps_grid_chi,
-        mps_surfaces={
-            k: tuple(scale(row) for row in v) for k, v in model.mps_surfaces.items()
+        tables={
+            b: BackendTable(
+                t.grid_n,
+                t.grid_chi,
+                {k: scale(rows) for k, rows in t.coefs.items()},
+                (factor * t.shots[0], factor * t.shots[1]),
+            )
+            for b, t in model.tables.items()
         },
-        stab_grid=model.stab_grid,
-        stab_curves={k: scale(v) for k, v in model.stab_curves.items()},
-        shot_coeffs={k: (factor * c1, factor * c2) for k, (c1, c2) in model.shot_coeffs.items()},
     )
 
 
@@ -264,7 +263,7 @@ def test_estimate_additivity_for_unitary_circuits(rng):
     b = random_circuit(5, 17, rng, measured=False)
     both = concat(a, b)
     for backend, kwargs in [("sv", {}), ("mps", {"chi": 8})]:
-        c1, c2 = model.shot_coeffs[backend]
+        c1, c2 = model.tables[backend].shots
         shot_term = c1 + c2 * 100
         whole = estimate(both, backend, model, shots=100, **kwargs)
         parts = (
@@ -419,10 +418,8 @@ def test_model_json_roundtrip(tmp_path):
     model.save(str(path))
     loaded = CalibrationModel.load(str(path))
     assert loaded.to_dict() == model.to_dict()
-    assert loaded.sv_coef("2q", 11) == pytest.approx(model.sv_coef("2q", 11))
-    assert loaded.mps_coef("measure", 10, 7) == pytest.approx(
-        model.mps_coef("measure", 10, 7)
-    )
+    assert loaded.seconds("sv", 11) == pytest.approx(model.seconds("sv", 11))
+    assert loaded.seconds("mps", 10, 7) == pytest.approx(model.seconds("mps", 10, 7))
 
 
 def test_load_missing_file_names_the_fix(tmp_path):
@@ -440,7 +437,7 @@ def test_load_rejects_invalid_json(tmp_path):
 def test_load_rejects_missing_sections(tmp_path):
     model = make_model()
     raw = model.to_dict()
-    del raw["mps"]
+    del raw["tables"]
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(CalibrationError):
@@ -450,30 +447,68 @@ def test_load_rejects_missing_sections(tmp_path):
 def test_model_validation_catches_bad_values():
     good = make_model().to_dict()
 
+    def rejected(edit, match=None):
+        bad = json.loads(json.dumps(good))
+        edit(bad["tables"])
+        with pytest.raises(CalibrationError, match=match):
+            CalibrationModel.from_dict(bad)
+
+    rejected(lambda t: t["sv"]["coefs"]["1q"][0].__setitem__(0, 0.0))
+    rejected(lambda t: t["mps"].update(grid_chi=[4, 2]))
+    rejected(lambda t: t["sv"]["coefs"].update({"2q": t["sv"]["coefs"]["2q"][:1]}))
+    rejected(lambda t: t["mps"]["coefs"].update({"1q": t["mps"]["coefs"]["1q"][:1]}))
+    rejected(lambda t: t["mps"]["coefs"]["1q"][0].pop())
+    rejected(lambda t: t.pop("stab"), match="no calibration table for backend 'stab'")
+    rejected(lambda t: t["mps"]["coefs"].pop("measure"), match="mps table missing class 'measure'")
+    rejected(lambda t: t["sv"].update(shots=[1e-4, 0.0]))
+    rejected(lambda t: t["stab"].update(shots=[-1e-4, 1e-6]))
+    rejected(lambda t: t["stab"].update(shots=[1e-4]))
+
     bad = json.loads(json.dumps(good))
     bad["version"] = 99
     with pytest.raises(CalibrationError):
         CalibrationModel.from_dict(bad)
 
-    bad = json.loads(json.dumps(good))
-    bad["sv"]["curves"]["1q"][0] = 0.0
-    with pytest.raises(CalibrationError):
-        CalibrationModel.from_dict(bad)
+    # a file in the version 3 layout, stale or relabelled as current
+    sv, mps, stab = (good["tables"][b] for b in ("sv", "mps", "stab"))
+    curves = lambda t: {k: [row[0] for row in rows] for k, rows in t["coefs"].items()}
+    v3 = {
+        "version": 3,
+        "created": good["created"],
+        "sv": {"grid_n": sv["grid_n"], "curves": curves(sv)},
+        "mps": {"grid_n": mps["grid_n"], "grid_chi": mps["grid_chi"], "surfaces": mps["coefs"]},
+        "stab": {"grid_n": stab["grid_n"], "curves": curves(stab)},
+        "shots": {b: dict(zip(("c1", "c2"), t["shots"])) for b, t in good["tables"].items()},
+    }
+    with pytest.raises(CalibrationError, match="polysim calibrate"):
+        CalibrationModel.from_dict(v3)
+    with pytest.raises(CalibrationError, match="malformed"):
+        CalibrationModel.from_dict(dict(v3, version=MODEL_VERSION))
 
-    bad = json.loads(json.dumps(good))
-    bad["mps"]["grid_chi"] = [4, 2]
-    with pytest.raises(CalibrationError):
-        CalibrationModel.from_dict(bad)
 
-    bad = json.loads(json.dumps(good))
-    bad["sv"]["curves"]["2q"] = bad["sv"]["curves"]["2q"][:1]
-    with pytest.raises(CalibrationError):
-        CalibrationModel.from_dict(bad)
-
-    bad = json.loads(json.dumps(good))
-    bad["mps"]["surfaces"]["1q"] = bad["mps"]["surfaces"]["1q"][:1]
-    with pytest.raises(CalibrationError):
-        CalibrationModel.from_dict(bad)
+def test_priced_seconds_of_one_op_are_the_timed_seconds(monkeypatch):
+    # With a constant timer, one sv 2q, mps 2q and stab gate op cost the
+    # timed seconds, so calibrate's units and estimate's must agree.
+    timed = 3.7e-5
+    monkeypatch.setattr(calibration, "_median_seconds", lambda fn, reps, floor: timed)
+    cfg = CalibrationConfig(
+        sv_grid=(4, 6),
+        mps_grid_n=(4, 6),
+        mps_grid_chi=(2, 4),
+        stab_grid=(4, 6),
+        shot_counts=(1, 10),
+        repetitions=1,
+    )
+    model = calibrate(cfg, seed=0)
+    grid_points = (("sv", "2q", 6, 1), ("mps", "2q", 6, 4), ("stab", "gate", 4, 1))
+    for backend, klass, n, chi in grid_points:
+        one = Circuit(n)
+        one.gate("cx", 0, 1)
+        empty = Circuit(n)
+        op = estimate(one, backend, model, 0, chi=chi) - estimate(empty, backend, model, 0, chi=chi)
+        assert op == pytest.approx(timed, rel=1e-9), backend
+        priced = dict(zip(calibration.PRICED[backend], model.seconds(backend, n, chi)))
+        assert priced[klass] == pytest.approx(timed, rel=1e-12), backend
 
 
 @pytest.fixture(scope="module")
@@ -492,12 +527,13 @@ def quick_model():
 
 def test_calibrate_produces_positive_grids(quick_model):
     m = quick_model
-    assert len(m.sv_curves["1q"]) == 4
-    assert len(m.mps_surfaces["2q"]) == 2
-    assert len(m.mps_surfaces["2q"][0]) == 2
-    assert len(m.stab_curves["measure"]) == 2
-    for pair in m.shot_coeffs.values():
-        assert pair[0] > 0 and pair[1] > 0
+    assert len(m.tables["sv"].coefs["1q"]) == 4
+    assert len(m.tables["mps"].coefs["2q"]) == 2
+    assert len(m.tables["mps"].coefs["2q"][0]) == 2
+    assert len(m.tables["stab"].coefs["measure"]) == 2
+    assert m.tables["stab"].grid_chi == m.tables["sv"].grid_chi == (1,)
+    for t in m.tables.values():
+        assert t.shots[0] > 0 and t.shots[1] > 0
     assert m.version == MODEL_VERSION
     assert m.created.startswith("20")
 

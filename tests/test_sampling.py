@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polysim import result
-from polysim.sampling import AliasTable, SamplingError, counts_to_distribution
+from polysim.sampling import AliasTable, SamplingError
 from conftest import chisquare_pvalue
 
 
@@ -45,38 +45,37 @@ def test_two_outcome_table_by_hand():
 
 
 def test_point_mass_table_draws_only_its_outcome():
-    table = AliasTable.from_distribution({"0": 1.0})
+    table = AliasTable.from_probs(np.array([1.0]))
     draws = table.sample_indices(np.random.default_rng(0), 50)
-    assert [table.outcomes[i] for i in draws] == ["0"] * 50
+    np.testing.assert_array_equal(draws, np.zeros(50))
 
 
 def test_sampled_sequence_is_deterministic():
-    table = AliasTable.from_distribution({"00": 0.5, "01": 0.5})
+    table = AliasTable.from_probs(np.array([0.5, 0.5]))
     a = table.sample_indices(np.random.default_rng(123), 50)
     b = table.sample_indices(np.random.default_rng(123), 50)
     np.testing.assert_array_equal(a, b)
-    assert table.outcomes == ["00", "01"]
 
 
 class _CountingRng:
-    """Duck-typed stand-in exposing only random(); counts scalar draws."""
+    """Duck-typed stand-in exposing only random(); counts uniform draws."""
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
-        self.calls = 0
+        self.draws = 0
 
-    def random(self, *args):
-        self.calls += 1
-        return self._rng.random(*args)
+    def random(self, size=None):
+        self.draws += 1 if size is None else int(np.prod(size))
+        return self._rng.random(size)
 
 
 def test_one_uniform_draw_per_sample(rng):
     table = AliasTable.from_probs(random_distribution(rng, 257))
     counter = _CountingRng(5)
-    for _ in range(400):
-        outcome = table.sample_one(counter)
-        assert 0 <= outcome < 257
-    assert counter.calls == 400
+    outcomes = table.sample_indices(counter, 400)
+    assert outcomes.shape == (400,)
+    assert 0 <= outcomes.min() and outcomes.max() < 257
+    assert counter.draws == 400
 
 
 def test_per_sample_cost_independent_of_support(rng):
@@ -113,13 +112,6 @@ def test_invalid_inputs():
         AliasTable.from_probs(np.array([-0.1, 1.1]))
     with pytest.raises(SamplingError):
         AliasTable.from_probs(np.zeros(0))
-    with pytest.raises(SamplingError):
-        counts_to_distribution({})
-
-
-def test_counts_to_distribution():
-    dist = counts_to_distribution({"0": 25, "1": 75})
-    assert dist == {"0": 0.25, "1": 0.75}
 
 
 @pytest.mark.parametrize("shots", [2_000, 200_000])
