@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .calibration import CalibrationConfig, CalibrationError, CalibrationModel, calibrate
-from .circuit import Circuit, CircuitError, Instruction, concat, inverse_circuit, is_clifford
+from .circuit import Circuit, CircuitError, Instruction, concat, inverse_circuit
 from .dispatch import run_circuit
 from .features import CircuitFeatures, extract_features
 from .predictor import PredictionError, PredictionReport, estimate, select_backend
@@ -29,7 +29,6 @@ __all__ = [
     "estimate",
     "extract_features",
     "inverse_circuit",
-    "is_clifford",
     "parse_qasm",
     "parse_qasm_file",
     "run_circuit",

@@ -183,9 +183,10 @@ class CalibrationModel:
                     shots=tuple(t["shots"]),
                 )
             return cls(version=raw["version"], created=raw["created"], tables=tables)
-        except (KeyError, TypeError, ValueError) as exc:
-            # ValueError: a grid that is empty or not increasing, or
-            # coefficients whose shape does not fit their grid.
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # AttributeError: a list where a mapping belongs.  ValueError: a
+            # grid that is empty or not increasing, or coefficients whose
+            # shape does not fit their grid.
             raise CalibrationError(f"malformed calibration data: {exc}") from exc
 
     def save(self, path: str) -> None:
@@ -245,9 +246,10 @@ def _mps_point(
     t_copy = _median_seconds(state.copy, reps, min_seconds)
 
     def measure_clone():
+        # as the shot engine measures: p1, one draw, project
         clone = state.copy()
         for q in range(n):
-            clone.measure(q, rng)
+            clone.project(q, int(rng.random() < clone.p1(q)))
 
     t_meas = (_median_seconds(measure_clone, reps, min_seconds) - t_copy) / n
     return {"1q": t1, "2q": t2, "measure": t_meas}
@@ -275,9 +277,10 @@ def _stab_point(
     t_copy = _median_seconds(tab.copy, reps, min_seconds)
 
     def measure_clone():
+        # the symbolic measurement ``stabilizer.run`` makes: no outcome is drawn
         clone = tab.copy()
         for q in range(n):
-            clone.measure(q, rng)
+            clone.measure(q)
 
     t_meas = (_median_seconds(measure_clone, reps, min_seconds) - t_copy) / n
     return {"gate": t_gate, "measure": t_meas}

@@ -18,10 +18,6 @@ UNITARY_GATES = ONE_QUBIT_GATES | TWO_QUBIT_GATES
 # Number of angle parameters each parameterized kind expects.
 PARAM_COUNTS = {"rx": 1, "ry": 1, "rz": 1, "u": 3}
 
-# Kinds that may appear in a circuit and still leave it simulable on a
-# stabilizer tableau.  Rotation gates never qualify, whatever their angle.
-CLIFFORD_KINDS = ONE_QUBIT_CLIFFORD | TWO_QUBIT_GATES | {"measure", "reset", "barrier"}
-
 _SELF_INVERSE = frozenset({"h", "x", "y", "z", "cx", "cz", "swap"})
 _ADJOINT_PAIRS = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 
@@ -110,11 +106,6 @@ class Circuit:
         for q in range(self.n_qubits):
             self.measure(q, q)
         return self
-
-
-def is_clifford(c: Circuit) -> bool:
-    """True when every instruction kind is tableau-simulable."""
-    return all(inst.kind in CLIFFORD_KINDS for inst in c.instructions)
 
 
 def inverse_instruction(inst: Instruction) -> Instruction:

@@ -114,13 +114,6 @@ class MpsState:
         dup.truncation_error = self.truncation_error
         return dup
 
-    def bond_dims(self) -> list[int]:
-        return [self.tensors[i].shape[2] for i in range(self.n - 1)]
-
-    def norm(self) -> float:
-        target = self.center
-        return float(np.linalg.norm(self.tensors[target]))
-
     # --- canonical form ------------------------------------------------------
 
     def move_center(self, target: int) -> None:
@@ -262,11 +255,6 @@ class MpsState:
         site[:, bit, :] = np.diag(s)
         tensors[q] = site
 
-    def measure(self, q: int, rng: np.random.Generator) -> int:
-        bit = 1 if rng.random() < self.p1(q) else 0
-        self.project(q, bit)
-        return bit
-
     def sample_terminal(
         self, shots: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -339,24 +327,6 @@ class MpsState:
         measured = bits[:, qubits]  # a copy: fancy indexing
         del bits  # free the full matrix before the keys are built
         return counts_by_row(measured, counts)
-
-    # --- diagnostics -----------------------------------------------------------
-
-    def to_statevector(self) -> np.ndarray:
-        acc = self.tensors[0][0]  # (2, chi)
-        for t in self.tensors[1:]:
-            acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
-        acc = acc[..., 0]  # drop the trailing unit bond
-        return acc.transpose(tuple(reversed(range(self.n)))).reshape(-1)
-
-
-def _run_unitaries(c: Circuit, chi_max: int, upto: int | None = None) -> MpsState:
-    state = MpsState(c.n_qubits, chi_max)
-    stop = len(c.instructions) if upto is None else upto
-    for inst in c.instructions[:stop]:
-        if inst.is_unitary:
-            state.apply(inst)
-    return state
 
 
 def run(c: Circuit, shots: int, seed: int, chi_max: int) -> RunResult:

@@ -50,7 +50,8 @@ class VqpuLayout:
             links = tuple((int(a), int(b)) for a, b in d.get("links", ()))
         except KeyError as missing:
             raise PartitionError(f"layout is missing {missing}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a number too large for a float, which JSON reads as inf
             raise PartitionError(f"malformed layout: {exc}") from None
         return cls(k, capacity, links)
 

@@ -55,11 +55,12 @@ class Block:
 class PBlockState:
     """Blocks of qubits, as the shot engine walks them.
 
-    With a distributed ``program``, gates across vQPUs run as telegate
-    gadgets whose outcomes come from ``rng``; the corrections leave every
-    outcome with the same state, so gadgets never split shots.  Gadgets are
-    logged in ``gadgets``, one list that copies share, so it holds every
-    walk's gadgets.  A cross-vQPU gate controlled by a qubit of known value
+    The engine and the telegate gadget measure it one way: ``p1``, then
+    ``project``.  With a distributed ``program``, gates across vQPUs run as
+    telegate gadgets whose outcomes come from ``rng``; the corrections leave
+    every outcome with the same state, so gadgets never split shots.
+    Gadgets are logged in ``gadgets``, one list that copies share, so it
+    holds every walk's gadgets.  A cross-vQPU gate controlled by a qubit of known value
     (a classically controlled gate) costs no Bell pair: the engine hands
     the state its one-qubit block instead (see ``polysim.engine``).  ``peak`` is the
     largest block among each applied gate's qubits; since a block grows only
@@ -151,20 +152,6 @@ class PBlockState:
         single[bit] = 1.0
         self.block_of[qubit] = Block([qubit], single)
 
-    def measure_and_factor(self, qubit: int, rng: np.random.Generator) -> int:
-        bit = 1 if rng.random() < self.p1(qubit) else 0
-        self.project(qubit, bit)
-        return bit
-
-    def set_basis(self, qubit: int, bit: int) -> None:
-        """Force a qubit known to sit in a singleton block to |bit>."""
-        block = self.block_of[qubit]
-        if len(block.qubits) != 1:
-            raise BackendError("can only set basis state on a factored qubit")
-        state = np.zeros(2, dtype=complex)
-        state[bit] = 1.0
-        block.state = state
-
     def sample(self, qubits, count: int, rng: np.random.Generator) -> dict[str, int]:
         """Counts of ``qubits``, read in that order, from one draw per block."""
         wanted = set(qubits)
@@ -177,15 +164,6 @@ class PBlockState:
                 groups.append((qs, probs))
         groups.sort(key=lambda g: g[0][0])
         return sample_measurement_groups(groups, qubits, count, rng)
-
-    def contract(self) -> np.ndarray:
-        """Global little-endian amplitudes (for validation at small n)."""
-        order: list[int] = []
-        vec = np.ones(1, dtype=complex)
-        for block in self.blocks():
-            vec = np.multiply.outer(block.state, vec).reshape(-1)
-            order = order + block.qubits
-        return reorder_qubits(vec, order, sorted(order))
 
 
 def run(c: Circuit, shots: int, seed: int) -> RunResult:
@@ -246,6 +224,15 @@ def _build_program(c: Circuit, layout: VqpuLayout) -> _DistProgram:
     return _DistProgram(plan, remapped, base, vqpu_of, comm_pair)
 
 
+def _measure_comm(state: PBlockState, q: int, rng: np.random.Generator) -> int:
+    """Measure comm qubit ``q`` (``p1``, one draw, ``project``), return it to |0>, give the bit."""
+    bit = int(rng.random() < state.p1(q))
+    state.project(q, bit)
+    if bit:
+        state.apply_local(Instruction("x", (q,)))
+    return bit
+
+
 def _gadget_cx(
     state: PBlockState,
     control: int,
@@ -254,20 +241,22 @@ def _gadget_cx(
     rng: np.random.Generator,
     stats: list[dict] | None,
 ) -> None:
-    """Teleported cx across a link, consuming one Bell pair on comm qubits."""
+    """Teleported cx across a link, consuming one Bell pair on comm qubits.
+
+    Each comm qubit leaves the gadget a singleton block in |0>, ready for
+    the link's next gadget.
+    """
     m_c, m_t = comm
     apply = state.apply_local
     apply(Instruction("h", (m_c,)))
     apply(Instruction("cx", (m_c, m_t)))
     apply(Instruction("cx", (control, m_c)))
-    if state.measure_and_factor(m_c, rng):
+    if _measure_comm(state, m_c, rng):
         apply(Instruction("x", (m_t,)))
     apply(Instruction("cx", (m_t, target)))
     apply(Instruction("h", (m_t,)))
-    if state.measure_and_factor(m_t, rng):
+    if _measure_comm(state, m_t, rng):
         apply(Instruction("z", (control,)))
-    state.set_basis(m_c, 0)
-    state.set_basis(m_t, 0)
     if stats is not None:
         after = state.block_of[target].dim
         stats.append({

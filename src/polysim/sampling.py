@@ -74,10 +74,3 @@ class AliasTable:
         idx = v.astype(np.int64)
         frac = v - idx
         return np.where(frac < self.prob[idx], idx, self.alias[idx])
-
-    def reconstructed_probs(self) -> np.ndarray:
-        """Recover the bin probabilities the table encodes (for validation)."""
-        rec = self.prob.copy()
-        np.add.at(rec, self.alias, 1.0 - self.prob)
-        return rec / self.size
-

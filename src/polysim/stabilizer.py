@@ -153,13 +153,12 @@ class Tableau:
         self.r[row] = 0
         self.r[row, self.k] = 1
 
-    def measure(self, q: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    def measure(self, q: int) -> np.ndarray:
         """Measure qubit q in the Z basis and return the outcome's affine form.
 
         The form is ``[c, a_1, ..., a_k]``: the outcome is c xor the sum of
         a_j v_j over the outcome variables v_j opened so far.  A random
-        outcome opens a fresh variable, or, given ``rng``, is drawn at once
-        and enters the tableau as a constant.
+        outcome opens a fresh variable; no outcome is drawn here.
         """
         n = self.n
         anticommuting = np.flatnonzero(self.x[n:, q])
@@ -174,11 +173,7 @@ class Tableau:
             self.x[p] = 0
             self.z[p] = 0
             self.z[p, q] = 1
-            if rng is None:
-                self._open_variable(p)
-            else:
-                self.r[p] = 0
-                self.r[p, 0] = rng.integers(2)
+            self._open_variable(p)
             return self.r[p, : 1 + self.k].copy()
         # Deterministic outcome: Z_q is the product of the stabilizers whose
         # destabilizer partners anticommute with it.  Multiplying them into a
@@ -195,19 +190,11 @@ class Tableau:
         form[0] ^= (g % 4) // 2
         return form
 
-    def reset(self, q: int, rng: np.random.Generator | None = None) -> None:
-        """Measure q, then apply X when the outcome is 1, leaving it in |0>."""
-        outcome = self.measure(q, rng)
+    def reset(self, q: int) -> None:
+        """Measure q, then apply X as the outcome's form, leaving q in |0> on every outcome."""
+        outcome = self.measure(q)
         # X_q flips the sign of every row with a Z on q, once per unit of outcome.
         self.r[:, : outcome.size] ^= np.outer(self.z[:, q], outcome).astype(np.uint8)
-
-    # --- validation helpers --------------------------------------------------
-
-    def symplectic_products(self) -> np.ndarray:
-        """Pairwise commutation table: entry (i,j) is 1 when rows anticommute."""
-        x = self.x.astype(np.int64)
-        z = self.z.astype(np.int64)
-        return ((x @ z.T) + (z @ x.T)) % 2
 
 
 def _sample_forms(forms: list[np.ndarray], shots: int, rng: np.random.Generator) -> dict[str, int]:

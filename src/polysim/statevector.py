@@ -21,8 +21,8 @@ import numpy as np
 from . import gates
 from .circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit
 from .engine import run_shots
-from .features import extract_features
-from .result import BackendError, QubitCapError, RunResult, sample_measurement_groups
+from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
+from .result import QubitCapError, RunResult, sample_measurement_groups
 
 QUBIT_CAP = 26  # 1 GiB of complex128 amplitudes
 
@@ -330,16 +330,3 @@ def run(c: Circuit, shots: int, seed: int) -> RunResult:
         counts=counts, shots=shots, backend="sv", seed=seed, wall_time=wall,
         metadata={"paths": len(paths)},
     )
-
-
-def final_state(c: Circuit) -> np.ndarray:
-    """The state after the circuit's gates, from one pass over the fused ops."""
-    if c.n_qubits > QUBIT_CAP:
-        raise QubitCapError(f"{c.n_qubits} qubits exceeds the cap of {QUBIT_CAP}")
-    if not extract_features(c).terminal_measurement_only:
-        raise BackendError("a final state needs a circuit without mid-circuit collapse")
-    amps = zero_state(c.n_qubits)
-    for op in fuse(c.instructions):
-        if op.kind != "measure":
-            apply_instruction(amps, c.n_qubits, op)
-    return amps

@@ -21,6 +21,7 @@ from scipy import stats
 
 import test_properties
 from conftest import ghz, random_circuit, two_sample_chisquare_pvalue
+from oracles import contract, final_state, run_unitaries, to_statevector
 from polysim import batch, mps, pblock, stabilizer, statevector, suite
 from polysim.calibration import calibrate
 from polysim.circuit import Circuit
@@ -103,12 +104,12 @@ def test_02_amplitudes_match_statevector(capsys):
     worst_mps = worst_pb = 0.0
     for _ in range(20):
         c = random_circuit(6, int(rng.integers(12, 41)), rng, measured=False)
-        reference = statevector.final_state(c)
-        via_mps = mps._run_unitaries(c, chi_max=64).to_statevector()
+        reference = final_state(c)
+        via_mps = to_statevector(run_unitaries(c, chi_max=64))
         state = PBlockState(6)
         for inst in c.instructions:
             state.apply(inst)
-        via_pblock = state.contract()
+        via_pblock = contract(state)
         worst_mps = max(worst_mps, float(np.abs(via_mps - reference).max()))
         worst_pb = max(worst_pb, float(np.abs(via_pblock - reference).max()))
     wall = time.perf_counter() - t_start

@@ -3,11 +3,12 @@ import os
 
 import pytest
 from conftest import ghz
+from oracles import is_clifford
 
 from polysim import cli
 from polysim.batch import load_directory, run_batch
 from polysim.calibration import MODEL_VERSION, CalibrationConfig, calibrate
-from polysim.circuit import Circuit, is_clifford
+from polysim.circuit import Circuit
 from polysim.qasm import parse_qasm_file, to_qasm
 from polysim.suite import (
     clifford_circuit,
@@ -305,6 +306,11 @@ def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, caps
     layout = tmp_path / "layout.json"
     layout.write_text('{"k": "two", "capacity": 2}')
     assert run_cli("run", "--input", qasm, "--backend", "pblock", "--layout", str(layout)) == 3
+    # JSON reads 1e400 as inf, which no int holds
+    for text in ('{"k": 1e400, "capacity": 2}', '{"k": 2, "capacity": 2, "links": [[0, 1e400]]}'):
+        huge = tmp_path / "huge.json"
+        huge.write_text(text)
+        assert run_cli("run", "--input", qasm, "--backend", "pblock", "--layout", str(huge)) == 3, text
     # options the chosen backend would ignore, and thresholds no run can meet
     for args in (
         ("--backend", "mps", "--fidelity-threshold", "1.5"),
@@ -330,6 +336,14 @@ def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, caps
     calib = tmp_path / "short.json"
     calib.write_text(json.dumps(short))
     assert run_cli("run", "--input", qasm, "--backend", "auto", "--calib", str(calib)) == 3
+    # a list where a mapping belongs: the tables, or one table's coefficients
+    listed_tables = model.to_dict()
+    listed_tables["tables"] = list(listed_tables["tables"].values())
+    listed_coefs = model.to_dict()
+    listed_coefs["tables"]["sv"]["coefs"] = list(listed_coefs["tables"]["sv"]["coefs"].values())
+    for raw in (listed_tables, listed_coefs):
+        calib.write_text(json.dumps(raw))
+        assert run_cli("run", "--input", qasm, "--backend", "auto", "--calib", str(calib)) == 3
 
     def broken(*args, **kwargs):
         raise ValueError("an internal invariant failed")

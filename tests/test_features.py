@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from polysim.circuit import Circuit, Instruction, is_clifford
+from polysim.circuit import Circuit, Instruction
 from polysim.features import CircuitFeatures, extract_features
 from conftest import ghz, qft, random_circuit
+from oracles import is_clifford
 
 
 def test_counts_by_class_hand_tally():

@@ -7,6 +7,7 @@ from polysim import metrics, mps, statevector, suite
 from polysim.circuit import Circuit, Instruction
 
 from conftest import random_circuit
+from oracles import final_state
 
 
 def test_hellinger_identical_and_disjoint():
@@ -70,7 +71,7 @@ def test_expected_sampling_fidelity_values():
 
 
 def test_w_state_circuit_amplitudes():
-    amps = statevector.final_state(suite.w_state_circuit(5, measured=False))
+    amps = final_state(suite.w_state_circuit(5, measured=False))
     hot = [1 << q for q in range(5)]
     np.testing.assert_allclose(
         np.abs(amps[hot]), np.full(5, 1 / math.sqrt(5)), atol=1e-12

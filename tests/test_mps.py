@@ -17,24 +17,25 @@ from conftest import (
     random_circuit,
     two_sample_chisquare_pvalue,
 )
+from oracles import bond_dims, final_state, measure, run_unitaries, to_statevector
 
 
 def test_matches_reference_contraction_on_random_circuits(rng):
     for _ in range(25):
         n = int(rng.integers(2, 7))
         c = random_circuit(n, int(rng.integers(5, 30)), rng, measured=False)
-        state = mps._run_unitaries(c, chi_max=64)
+        state = run_unitaries(c, chi_max=64)
         np.testing.assert_allclose(
-            state.to_statevector(), oracle_statevector(c), atol=1e-9
+            to_statevector(state), oracle_statevector(c), atol=1e-9
         )
         assert state.truncation_error == 0.0
 
 
 def test_qft_matches_statevector_backend():
     c = qft(5)
-    state = mps._run_unitaries(c, chi_max=64)
+    state = run_unitaries(c, chi_max=64)
     np.testing.assert_allclose(
-        state.to_statevector(), statevector.final_state(c), atol=1e-9
+        to_statevector(state), final_state(c), atol=1e-9
     )
 
 
@@ -45,8 +46,8 @@ def test_nonadjacent_gates_ride_swap_chains(rng):
     c.gate("cx", 4, 1)
     c.gate("swap", 0, 3)
     c.gate("cz", 3, 1)
-    state = mps._run_unitaries(c, chi_max=64)
-    np.testing.assert_allclose(state.to_statevector(), oracle_statevector(c), atol=1e-10)
+    state = run_unitaries(c, chi_max=64)
+    np.testing.assert_allclose(to_statevector(state), oracle_statevector(c), atol=1e-10)
 
 
 def test_norm_stays_one_through_truncating_run(rng):
@@ -54,12 +55,12 @@ def test_norm_stays_one_through_truncating_run(rng):
     state = mps.MpsState(6, chi_max=2)
     for inst in c.instructions:
         state.apply(inst)
-        assert abs(np.linalg.norm(state.to_statevector()) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(to_statevector(state)) - 1.0) < 1e-10
 
 
 def test_ghz_needs_only_bond_dimension_two():
-    state = mps._run_unitaries(ghz(12, measured=False), chi_max=64)
-    assert state.bond_dims() == [2] * 11
+    state = run_unitaries(ghz(12, measured=False), chi_max=64)
+    assert bond_dims(state) == [2] * 11
     assert state.truncation_error == 0.0
 
 
@@ -67,8 +68,8 @@ def test_bond_dims_respect_cap_and_geometry(rng):
     n = 8
     for chi_max in (3, 8, 64):
         c = random_circuit(n, 60, rng, measured=False)
-        state = mps._run_unitaries(c, chi_max=chi_max)
-        for i, dim in enumerate(state.bond_dims()):
+        state = run_unitaries(c, chi_max=chi_max)
+        for i, dim in enumerate(bond_dims(state)):
             assert dim <= min(chi_max, 2 ** min(i + 1, n - i - 1))
 
 
@@ -155,7 +156,7 @@ def test_same_seed_reproduces_counts():
 
 def test_random_state_sampling_matches_contraction(rng):
     state = mps.MpsState.random(7, chi=4, rng=rng)
-    amps = state.to_statevector()
+    amps = to_statevector(state)
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
     shots = 50_000
     bits, freq = state.sample_terminal(shots, np.random.default_rng(6))
@@ -165,9 +166,9 @@ def test_random_state_sampling_matches_contraction(rng):
 
 
 def test_measure_collapses_and_renormalizes(rng):
-    state = mps._run_unitaries(ghz(6, measured=False), chi_max=8)
-    bit = state.measure(3, rng)
-    amps = state.to_statevector()
+    state = run_unitaries(ghz(6, measured=False), chi_max=8)
+    bit = measure(state, 3, rng)
+    amps = to_statevector(state)
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
     expected_index = (2**6 - 1) if bit else 0
     assert abs(abs(amps[expected_index]) - 1.0) < 1e-10
@@ -205,7 +206,7 @@ def test_mid_circuit_run_reports_worst_path_truncation():
 
 def test_sweep_counts_repeat_and_stay_exact_past_63_qubits():
     c = suite.qaoa_line_circuit(10, layers=2, seed=4)
-    state = mps._run_unitaries(c, chi_max=4)
+    state = run_unitaries(c, chi_max=4)
     bits, counts = state.sample_terminal(3000, np.random.default_rng(8))
     assert counts.sum() == 3000
     assert len(np.unique(bits, axis=0)) == len(bits)
@@ -216,7 +217,7 @@ def test_sweep_counts_repeat_and_stay_exact_past_63_qubits():
     for q in (0, 64, 69):
         wide.gate("x", q)
     wide.measure_all()
-    state = mps._run_unitaries(wide, chi_max=2)
+    state = run_unitaries(wide, chi_max=2)
     bits, counts = state.sample_terminal(500, np.random.default_rng(1))
     assert counts.tolist() == [500]
     assert np.flatnonzero(bits[0]).tolist() == [0, 64, 69]
@@ -250,7 +251,7 @@ def test_sweep_draws_in_the_order_of_the_branch_loop(width):
         c.gate("h", q)
     if width > 1:
         c.gate("cx", 0, width - 1)
-    state = mps._run_unitaries(c, chi_max=4)
+    state = run_unitaries(c, chi_max=4)
     bits, counts = state.sample_terminal(5000, np.random.default_rng(12))
     codes = [sum(int(v) << q for q, v in enumerate(row)) for row in bits]
     assert list(zip(codes, counts.tolist())) == _branch_by_branch(
@@ -291,10 +292,10 @@ def test_two_site_update_matches_dense_kernel(rng):
             for m_local, first, second in ((m4, left + 1, left),
                                            (mps._high_bit_first(m4), left, left + 1)):
                 state = _random_exact_state(rng, n)
-                amps = state.to_statevector()
+                amps = to_statevector(state)
                 state.apply_two_site(left, m_local)
                 statevector.apply_2q(amps, n, first, second, m4)
-                np.testing.assert_allclose(state.to_statevector(), amps, rtol=0, atol=1e-12,
+                np.testing.assert_allclose(to_statevector(state), amps, rtol=0, atol=1e-12,
                                            err_msg=f"{name} at {left}")
                 _assert_canonical(state)
 
@@ -306,10 +307,10 @@ def test_apply_matches_dense_kernel_at_any_distance_and_order(kind, rng):
         for lo in range(n - distance):
             for qa, qb in ((lo, lo + distance), (lo + distance, lo)):
                 state = _random_exact_state(rng, n)
-                amps = state.to_statevector()
+                amps = to_statevector(state)
                 state.apply(Instruction(kind, (qa, qb)))
                 statevector.apply_2q(amps, n, qa, qb, gates.two_qubit_matrix(kind))
-                np.testing.assert_allclose(state.to_statevector(), amps, rtol=0, atol=1e-12,
+                np.testing.assert_allclose(to_statevector(state), amps, rtol=0, atol=1e-12,
                                            err_msg=f"{kind}({qa}, {qb})")
                 _assert_canonical(state)
 
@@ -318,15 +319,15 @@ def test_move_center_keeps_state_and_canonical_form(rng):
     c = Circuit(6)  # bonds of dimension 2, 1, 1, 2, 1: both kinds of step
     c.gate("h", 0).gate("cx", 0, 1).gate("ry", 3, params=(0.7,)).gate("cx", 3, 4)
     c.gate("u", 5, params=(0.3, 1.1, -0.4))
-    product = mps._run_unitaries(c, chi_max=8)
-    assert product.bond_dims() == [2, 1, 1, 2, 1]
+    product = run_unitaries(c, chi_max=8)
+    assert bond_dims(product) == [2, 1, 1, 2, 1]
     for state in (product, _random_exact_state(rng, 6)):
         state.tensors[state.center] = 3.0 * state.tensors[state.center]  # any norm is kept
-        amps = state.to_statevector()
+        amps = to_statevector(state)
         for target in (5, 0, 3, 1, 4):
             state.move_center(target)
             assert state.center == target
-            np.testing.assert_allclose(state.to_statevector(), amps, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(to_statevector(state), amps, rtol=0, atol=1e-12)
             _assert_canonical(state)
 
 
@@ -363,7 +364,7 @@ def test_single_prefix_path_draws_as_the_batched_path(shots):
         c.gate("cx", q, q + 1)
     c.gate("cz", 2, 7)
     for seed in range(5):
-        state = mps._run_unitaries(c, chi_max=16)
+        state = run_unitaries(c, chi_max=16)
         bits, counts = state.sample_terminal(shots, np.random.default_rng(seed))
         codes = [sum(int(v) << q for q, v in enumerate(row)) for row in bits]
         expected = _batched_sweep(state, shots, np.random.default_rng(seed))
@@ -383,7 +384,7 @@ def test_project_cuts_bonds_to_the_rank_of_the_projected_site(rng, monkeypatch):
 
     for name in real:
         monkeypatch.setattr(np.linalg, name, counting(name))
-    ghz_state = mps._run_unitaries(ghz(n, measured=False), chi_max=8)  # rank 1 at every site
+    ghz_state = run_unitaries(ghz(n, measured=False), chi_max=8)  # rank 1 at every site
     cases = [(ghz_state, q, bit) for q in range(n) for bit in (0, 1)]
     cases += [(_random_exact_state(rng, n), q, bit) for q in range(n) for bit in (0, 1)]
     ranks = Counter()
@@ -392,7 +393,7 @@ def test_project_cuts_bonds_to_the_rank_of_the_projected_site(rng, monkeypatch):
         state.move_center(q)
         piece = state.tensors[q][:, bit, :]
         rank = int(np.linalg.matrix_rank(piece))
-        amps = state.to_statevector()
+        amps = to_statevector(state)
         statevector.project(amps, q, bit)
         calls.clear()
         state.project(q, bit)
@@ -401,9 +402,9 @@ def test_project_cuts_bonds_to_the_rank_of_the_projected_site(rng, monkeypatch):
             state.move_center(max(q - 1, 0))
             state.move_center(min(q + 1, n - 1))
             assert calls["qr"] == 0
-        dims = [1] + state.bond_dims() + [1]
+        dims = [1] + bond_dims(state) + [1]
         assert dims[q] == dims[q + 1] == rank
-        np.testing.assert_allclose(state.to_statevector(), amps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(to_statevector(state), amps, rtol=0, atol=1e-12)
         _assert_canonical(state)
         ranks[rank] += 1
     assert sorted(ranks) == [1, 2, 4]  # the random state's sites project to ranks 1, 2 and 4

@@ -15,6 +15,8 @@ from conftest import (
     random_circuit,
     two_sample_chisquare_pvalue,
 )
+from oracles import contract, final_state, measure
+from test_engine import teleport_chain
 
 
 def test_reorder_qubits_hand_example():
@@ -47,7 +49,7 @@ def test_contract_matches_statevector_on_random_circuits(rng):
         state = PBlockState(6)
         for inst in c.instructions:
             state.apply(inst)
-        np.testing.assert_allclose(state.contract(), oracle_statevector(c), atol=1e-10)
+        np.testing.assert_allclose(contract(state), oracle_statevector(c), atol=1e-10)
 
 
 def test_contract_matches_at_every_checkpoint(rng):
@@ -59,7 +61,7 @@ def test_contract_matches_at_every_checkpoint(rng):
             state.apply(inst)
             partial.append(inst)
             np.testing.assert_allclose(
-                state.contract(), oracle_statevector(partial), atol=1e-9
+                contract(state), oracle_statevector(partial), atol=1e-9
             )
             covered = sorted(q for b in state.blocks() for q in b.qubits)
             assert covered == list(range(5))
@@ -78,7 +80,7 @@ def test_measure_factors_qubit_out(rng):
     state = PBlockState(4)
     for inst in ghz(4, measured=False).instructions:
         state.apply(inst)
-    bit = state.measure_and_factor(2, rng)
+    bit = measure(state, 2, rng)
     rest = state.block_of[0]
     assert state.block_of[2].qubits == [2]
     assert rest.qubits == [0, 1, 3]
@@ -208,12 +210,37 @@ def test_gadget_applies_exact_nonlocal_cx(rng):
             teleported, 1, 3, (4, 5), np.random.default_rng(trial), stats
         )
         np.testing.assert_allclose(
-            teleported.contract(), direct.contract(), atol=1e-10
+            contract(teleported), contract(direct), atol=1e-10
         )
         assert teleported.block_of[4].qubits == [4]
         assert teleported.block_of[5].qubits == [5]
         np.testing.assert_array_equal(teleported.block_of[4].state, [1.0, 0.0])
         assert stats[0]["retained_dim"] == 4 * stats[0]["block_dim_after"]
+
+
+def test_every_gadget_leaves_its_comm_qubits_alone_in_zero(rng, monkeypatch):
+    # the link's next gadget starts from |00> on the comm pair, on every walk
+    gadget = pblock._gadget_cx
+    seen: list[tuple[int, int]] = []
+
+    def checked(state, control, target, comm, gen, stats):
+        gadget(state, control, target, comm, gen, stats)
+        for q in comm:
+            assert state.block_of[q].qubits == [q]
+            np.testing.assert_array_equal(state.block_of[q].state, [1.0, 0.0])
+        seen.append(comm)
+
+    monkeypatch.setattr(pblock, "_gadget_cx", checked)
+    circuits = [teleport_chain(4)] + [mid_circuit(rng) for _ in range(30)]
+    circuits += [random_circuit(6, 30, rng) for _ in range(10)]
+    for trial, c in enumerate(circuits):
+        before = len(seen)
+        layout = VqpuLayout(2, (c.n_qubits + 1) // 2)
+        result = pblock.run_distributed(c, layout, 200, trial)
+        assert len(result.metadata["gadgets"]) == len(seen) - before
+        if trial == 0:
+            assert result.metadata["paths"] > 1 and len(seen) > 0  # the teleport chain
+    assert len(seen) > len(circuits)
 
 
 def test_distributed_ghz_tracks_sampling_bound():
@@ -277,7 +304,7 @@ def test_distributed_cross_cz_and_swap_match_monolithic(rng):
     c.measure_all()
     shots = 30_000
     dist = pblock.run_distributed(c, VqpuLayout(2, 3), shots=shots, seed=5)
-    exact = np.abs(statevector.final_state(_unitary_only(c))) ** 2
+    exact = np.abs(final_state(_unitary_only(c))) ** 2
     expected = {format(i, "06b"): p for i, p in enumerate(exact) if p > 1e-15}
     assert chisquare_pvalue(dist.counts, expected, shots) > 1e-3
 
@@ -324,7 +351,7 @@ def test_qubit_map_is_partition_after_every_instruction(rng):
     gen = np.random.default_rng(5)
     for inst in c.instructions:
         if inst.kind == "measure":
-            state.measure_and_factor(inst.qubits[0], gen)
+            measure(state, inst.qubits[0], gen)
         elif inst.is_unitary:
             state.apply(inst)
         covered = sorted(q for b in state.blocks() for q in b.qubits)

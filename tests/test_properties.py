@@ -6,9 +6,10 @@ seed so a run can be replayed in isolation.
 import numpy as np
 import pytest
 from conftest import random_circuit
+from oracles import norm, run_unitaries, symplectic_products
 from test_predictor import make_model, scaled_model
 
-from polysim import mps, statevector
+from polysim import statevector
 from polysim.partition import VqpuLayout, partition_circuit
 from polysim.predictor import estimate, select_backend
 from polysim.stabilizer import Tableau
@@ -51,7 +52,7 @@ def test_tableau_rows_keep_symplectic_pairing():
             else:
                 kind = str(rng.choice(("h", "s", "sdg", "x_gate", "y_gate", "z_gate")))
                 getattr(tab, kind)(int(rng.integers(n)))
-        assert np.array_equal(tab.symplectic_products(), expected), f"case {case}"
+        assert np.array_equal(symplectic_products(tab), expected), f"case {case}"
 
 
 def test_statevector_norm_is_preserved():
@@ -74,8 +75,8 @@ def test_mps_norm_is_preserved_under_truncation():
         n = int(rng.integers(4, 9))
         chi = int(rng.choice((2, 4)))
         c = random_circuit(n, int(rng.integers(8, 22)), rng, measured=False)
-        state = mps._run_unitaries(c, chi_max=chi)
-        assert abs(state.norm() - 1.0) < 1e-9, f"case {case}"
+        state = run_unitaries(c, chi_max=chi)
+        assert abs(norm(state) - 1.0) < 1e-9, f"case {case}"
 
 
 def test_estimate_is_monotone_in_gates_and_shots():

