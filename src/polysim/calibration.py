@@ -6,11 +6,17 @@ seconds of one op at each (n, chi) grid point divided by the class's cost
 unit in ``PRICED``, plus a linear shot model.  Every sample is the median
 of several repetitions, and each repetition loops the operation until it
 runs long enough for the wall clock to resolve it.
+
+Between grid nodes a coefficient is read as a power law in n and in chi
+(``polysim.interpolate``); outside a grid it clamps to the nearest node
+while its cost unit keeps growing with n and chi.  Grids, coefficients
+and shot pairs must be finite and positive.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -141,10 +147,13 @@ class CalibrationModel:
             for klass in classes:
                 if klass not in t.coefs:
                     raise CalibrationError(f"{backend} table missing class {klass!r}")
+            # log axes need grids above 0; JSON reads 1e400 as inf
+            if not all(0 < x < math.inf for x in (*t.grid_n, *t.grid_chi)):
+                raise CalibrationError(f"{backend} grids must be finite and positive")
             flat = [c for rows in t.coefs.values() for row in rows for c in row]
-            if len(t.shots) != 2 or any(not (c > 0) for c in flat + list(t.shots)):
+            if len(t.shots) != 2 or not all(0 < c < math.inf for c in flat + list(t.shots)):
                 raise CalibrationError(
-                    f"{backend} needs positive coefficients and a shot pair (c1, c2)"
+                    f"{backend} needs finite positive coefficients and a shot pair (c1, c2)"
                 )
 
     def seconds(self, backend: str, n: int, chi: int = 1) -> tuple[float, ...]:

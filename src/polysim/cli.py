@@ -123,8 +123,7 @@ def _cmd_run(args) -> int:
         if backend == "mps":
             payload["chi"] = args.chi
     wall = time.perf_counter() - t0
-    if backend == "pblock":
-        payload["metadata"] = result.metadata
+    payload["metadata"] = result.metadata
 
     payload["backend"] = backend
     payload["counts"] = result.counts

@@ -14,6 +14,10 @@ classical runs locally, with no gadget.
 walks it, and with a distributed program it runs cross-vQPU gates as
 gadgets.  ``max_block_dim`` in a run's metadata is the largest block the
 first walk held after any engine op, gadget transients excluded.
+
+A block holds at most ``statevector.QUBIT_CAP`` qubits, a gadget's
+communication qubits included: a merge past the cap raises
+``QubitCapError`` before it allocates anything.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .circuit import Circuit, Instruction
 from .engine import run_shots
 from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
 from .partition import PartitionPlan, VqpuLayout, partition_circuit
-from .result import BackendError, RunResult, sample_measurement_groups
+from .result import BackendError, QubitCapError, RunResult, sample_measurement_groups
 
 
 def reorder_qubits(state: np.ndarray, current: list[int], target: list[int]) -> np.ndarray:
@@ -96,6 +100,11 @@ class PBlockState:
 
     def _merge(self, a: Block, b: Block) -> Block:
         combined_order = a.qubits + b.qubits
+        if len(combined_order) > statevector.QUBIT_CAP:
+            raise QubitCapError(
+                f"a block of {len(combined_order)} qubits exceeds the cap of "
+                f"{statevector.QUBIT_CAP}"
+            )
         state = np.multiply.outer(b.state, a.state).reshape(-1)
         target = sorted(combined_order)
         merged = Block(target, reorder_qubits(state, combined_order, target))

@@ -22,16 +22,18 @@ class PredictionError(BackendError):
     pass
 
 
-def policy_chi(features: CircuitFeatures, cap: int = DEFAULT_CHI_POLICY_CAP) -> int:
+def policy_chi(features: CircuitFeatures) -> int:
     """Bond dimension the selector budgets for a tensor-network run.
 
     The entanglement proxy bounds the base-2 log of any reachable Schmidt
     rank, so 2**proxy is enough for an exact run; past the cap we assume
-    truncation will be accepted instead.
+    truncation will be accepted instead.  Every budget is 1 or a power of
+    two up to the cap, so with the default calibration grid the selector
+    reads coefficients at chi nodes only.
     """
-    if features.entanglement_proxy >= cap.bit_length():
-        return cap
-    return min(cap, max(1, 1 << features.entanglement_proxy))
+    if features.entanglement_proxy >= DEFAULT_CHI_POLICY_CAP.bit_length():
+        return DEFAULT_CHI_POLICY_CAP
+    return 1 << features.entanglement_proxy
 
 
 def estimate(

@@ -182,6 +182,27 @@ def test_cli_run_writes_output_file(tmp_path):
     assert sum(payload["counts"].values()) == 64
 
 
+def test_cli_run_reports_metadata_for_every_backend(tmp_path, capsys):
+    mid = Circuit(2, 2)
+    mid.gate("h", 0)
+    mid.measure(0, 0)
+    mid.gate("h", 0)  # the measurement splits shots, so sv walks twice
+    mid.gate("cx", 0, 1)
+    mid.measure(1, 1)
+    expected = {
+        "sv": {"paths": 2},
+        "mps": {"chi_max": 4, "truncation_error": 0.0, "paths": 2},
+        "stab": {},
+        "pblock": {"max_block_dim": 4, "paths": 2},
+    }
+    qasm = write_qasm(tmp_path, mid, "mid")
+    for backend, metadata in expected.items():
+        args = ("--chi", "4") if backend == "mps" else ()
+        code = run_cli("run", "--input", qasm, "--backend", backend, "--shots", "50", *args)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["metadata"] == metadata, backend
+
+
 def test_cli_run_mps_without_chi_uses_fidelity_loop(tmp_path, capsys):
     qasm = write_qasm(tmp_path, ghz_circuit(6), "ghz6")
     code = run_cli("run", "--input", qasm, "--backend", "mps", "--shots", "100", "--seed", "3")
@@ -344,6 +365,11 @@ def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, caps
     for raw in (listed_tables, listed_coefs):
         calib.write_text(json.dumps(raw))
         assert run_cli("run", "--input", qasm, "--backend", "auto", "--calib", str(calib)) == 3
+    # JSON reads 1e400 as inf, which is no coefficient
+    huge_coef = model.to_dict()
+    huge_coef["tables"]["sv"]["coefs"]["1q"] = [[1e300]] + list(huge_coef["tables"]["sv"]["coefs"]["1q"][1:])
+    calib.write_text(json.dumps(huge_coef).replace("1e+300", "1e400"))
+    assert run_cli("run", "--input", qasm, "--backend", "auto", "--calib", str(calib)) == 3
 
     def broken(*args, **kwargs):
         raise ValueError("an internal invariant failed")

@@ -5,7 +5,7 @@ from polysim import pblock, statevector, suite
 from polysim.circuit import Circuit, Instruction
 from polysim.partition import VqpuLayout
 from polysim.pblock import PBlockState, reorder_qubits
-from polysim.result import BackendError
+from polysim.result import BackendError, QubitCapError
 
 from conftest import (
     chisquare_pvalue,
@@ -392,3 +392,15 @@ def test_distributed_mid_circuit_reports_gadgets():
     assert result.metadata["paths"] == 2
     assert len(result.metadata["gadgets"]) == before + 2 * after
     assert result.metadata["max_block_dim"] >= 4
+
+
+def test_merge_past_the_qubit_cap_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(statevector, "QUBIT_CAP", 4)
+    assert pblock.run(suite.ghz_circuit(4), shots=20, seed=1).metadata["max_block_dim"] == 16
+    with pytest.raises(QubitCapError, match="5 qubits exceeds the cap of 4"):
+        pblock.run(suite.ghz_circuit(5), shots=20, seed=1)
+    # a gadget's two comm qubits join the control's block: 3 + 2 > 4
+    monkeypatch.setattr(statevector, "QUBIT_CAP", 3)
+    assert pblock.run(suite.ghz_circuit(3), shots=20, seed=1).metadata["max_block_dim"] == 8
+    with pytest.raises(QubitCapError, match="exceeds the cap of 3"):
+        pblock.run_distributed(suite.ghz_circuit(4), VqpuLayout(2, 2), shots=20, seed=1)

@@ -1,6 +1,8 @@
 import json
+import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ def test_curve_reproduces_nodes_exactly():
     values = [1.5e-9, 2.1e-9, 2.2e-9, 3.9e-9, 8.0e-9]
     curve = MonotoneCurve(grid, values)
     for g, v in zip(grid, values):
-        assert curve(g) == pytest.approx(v, rel=1e-12)
+        assert curve(g) == v
 
 
 def test_curve_preserves_monotone_data():
@@ -76,6 +78,21 @@ def test_curve_rejects_bad_grids():
         MonotoneCurve([1.0, 2.0], [1, 2, 3])
     with pytest.raises(InterpolationError):
         MonotoneCurve([], [])
+    # log axes take only finite positive grids and values
+    for grid, values in (
+        ([0.0, 2.0], [1.0, 2.0]),
+        ([-1.0, 2.0], [1.0, 2.0]),
+        ([1.0, math.inf], [1.0, 2.0]),
+        ([1.0, math.nan], [1.0, 2.0]),
+        ([1.0, 2.0], [0.0, 2.0]),
+        ([1.0, 2.0], [-1.0, 2.0]),
+        ([1.0, 2.0], [1.0, math.inf]),
+        ([1.0, 2.0], [math.nan, 2.0]),
+    ):
+        with pytest.raises(InterpolationError, match="finite and positive"):
+            MonotoneCurve(grid, values)
+    with pytest.raises(InterpolationError, match="finite and positive"):
+        TensorSurface([4, 8], [2, 4], [[1.0, 2.0], [3.0, math.inf]])
 
 
 def test_surface_reproduces_nodes_exactly():
@@ -86,7 +103,7 @@ def test_surface_reproduces_nodes_exactly():
     surface = TensorSurface(grid_n, grid_chi, table)
     for i, n in enumerate(grid_n):
         for j, chi in enumerate(grid_chi):
-            assert surface(n, chi) == pytest.approx(table[i, j], rel=1e-12)
+            assert surface(n, chi) == table[i, j]
 
 
 def test_surface_tracks_separable_function():
@@ -135,25 +152,13 @@ def test_surface_interpolates_rows_along_chi_then_the_column_along_n():
     assert TensorSurface([2, 4], grid, table)(3.0, 2.5) == MonotoneCurve([2, 4], column)(3.0)
 
 
-@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "any"])
-def test_curve_agrees_with_scipy_pchip(monotone):
-    from scipy.interpolate import PchipInterpolator
-
-    rng = np.random.default_rng(17 if monotone else 18)
-    for _ in range(300):
-        size = int(rng.integers(2, 11))
-        grid = np.cumsum(rng.uniform(0.05, 5.0, size)) + rng.uniform(-3.0, 3.0)
-        steps = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-9, 2)
-        if monotone:
-            steps = np.abs(steps) * (1 if rng.random() < 0.5 else -1)
-        if rng.random() < 0.2:
-            steps[rng.integers(size)] = 0.0  # flat stretches hit the zero-slope rule
-        values = np.cumsum(steps)
-        curve = MonotoneCurve(grid, values)
-        reference = PchipInterpolator(grid, values)
-        scale = float(np.max(np.abs(values)))
-        for x in np.concatenate([grid, rng.uniform(grid[0], grid[-1], 20)]):
-            assert curve(x) == pytest.approx(float(reference(x)), rel=1e-10, abs=1e-10 * scale)
+def test_curve_follows_a_power_law_between_nodes():
+    # costs that are powers of n or chi are straight lines on log axes
+    f = lambda x: 3e-9 * x**2.5
+    grid = [2.0, 4.0, 8.0, 32.0]
+    curve = MonotoneCurve(grid, [f(x) for x in grid])
+    for x in (2.5, 3.0, 5.0, 7.9, 11.0, 20.0, 31.0):
+        assert curve(x) == pytest.approx(f(x), rel=1e-12)
 
 
 # ----------------------------------------------------------- synthetic models
@@ -325,6 +330,15 @@ def test_policy_chi_caps_at_64(rng):
     assert policy_chi(f) == 64
 
 
+def test_policy_chi_budgets_only_calibrated_chi_nodes():
+    # selection never reads the mps surfaces between chi nodes
+    nodes = {1, *CalibrationConfig().mps_grid_chi}
+    base = extract_features(Circuit(2))
+    for proxy in range(41):
+        chi = policy_chi(replace(base, entanglement_proxy=proxy))
+        assert chi in nodes, (proxy, chi)
+
+
 # ------------------------------------------------------------- selection
 
 
@@ -463,6 +477,17 @@ def test_model_validation_catches_bad_values():
     rejected(lambda t: t["sv"].update(shots=[1e-4, 0.0]))
     rejected(lambda t: t["stab"].update(shots=[-1e-4, 1e-6]))
     rejected(lambda t: t["stab"].update(shots=[1e-4]))
+    # JSON reads 1e400 as inf; log axes cannot take a grid node at or below 0
+    for bad_value in (math.inf, math.nan):
+        rejected(lambda t: t["sv"]["coefs"]["1q"][0].__setitem__(0, bad_value), match="finite")
+        rejected(lambda t: t["mps"]["coefs"]["2q"][1].__setitem__(1, bad_value), match="finite")
+        rejected(lambda t: t["mps"].update(shots=[1e-4, bad_value]), match="finite")
+        rejected(lambda t: t["stab"].update(shots=[bad_value, 1e-6]), match="finite")
+        rejected(lambda t: t["sv"].update(grid_n=[2, bad_value]), match="grids must be finite")
+        rejected(lambda t: t["mps"].update(grid_chi=[2, bad_value]), match="grids must be finite")
+    rejected(lambda t: t["stab"].update(grid_n=[0, 64]), match="grids must be finite and positive")
+    rejected(lambda t: t["mps"].update(grid_n=[-4, 24]), match="grids must be finite and positive")
+    rejected(lambda t: t["sv"].update(grid_chi=[0]), match="grids must be finite and positive")
 
     bad = json.loads(json.dumps(good))
     bad["version"] = 99
