@@ -16,7 +16,6 @@ from .mps import run_with_fidelity_loop
 from .partition import PartitionError, VqpuLayout
 from .predictor import select_backend
 from .qasm import QasmError, parse_qasm_file
-from .result import BackendError
 from .suite import generate_torture_suite, write_suite
 
 EXIT_OK = 0
@@ -42,11 +41,7 @@ _INPUT_ERRORS = (
 
 
 def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, BackendError):
-        return EXIT_BACKEND
-    if isinstance(exc, _INPUT_ERRORS):
-        return EXIT_INPUT
-    return EXIT_BACKEND
+    return EXIT_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_BACKEND
 
 
 def _emit_error(exc: Exception, as_json: bool) -> None:

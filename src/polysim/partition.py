@@ -4,7 +4,8 @@ Placement runs in two phases: greedy growth seeded from the heaviest
 interaction edges, then Kernighan-Lin style refinement that keeps applying
 the best improving swap or move until none exists.  Both phases iterate in
 sorted order and break ties by index, so a plan depends only on the circuit
-and the layout.
+and the layout.  Interacting qubits may sit only on linked vQPUs: the
+refinement removes such cuts first, and a plan that keeps one is rejected.
 """
 from __future__ import annotations
 
@@ -126,30 +127,41 @@ def partition_circuit(c: Circuit, layout: VqpuLayout) -> PartitionPlan:
             load[g] += 1
 
     # Phase 2: apply the best improving swap or move until none remains.
+    # A placement is ranked first by the weight it cuts between vQPUs that
+    # share no link, which an all-to-all layout never has, then by its cut.
     neighbors: dict[int, dict[int, int]] = {q: {} for q in range(n)}
     for (a, b), w in edges.items():
         neighbors[a][b] = w
         neighbors[b][a] = w
+    unlinked = [
+        [int(g != h and (min(g, h), max(g, h)) not in layout.links) for h in range(layout.k)]
+        for g in range(layout.k)
+    ]
 
-    def external_gain(q: int, target: int) -> int:
-        # cut change if q alone moved to target (negative is better)
-        delta = 0
+    def external_gain(q: int, target: int) -> tuple[int, int]:
+        # (unlinked, cut) weight change if q alone moved to target
+        # (negative is better)
+        source = assign[q]
+        bad = delta = 0
         for other, w in neighbors[q].items():
-            if assign[other] == assign[q]:
+            g = assign[other]
+            bad += w * (unlinked[target][g] - unlinked[source][g])
+            if g == source:
                 delta += w
-            elif assign[other] == target:
+            elif g == target:
                 delta -= w
-        return delta
+        return bad, delta
 
     while True:
-        best = 0
+        best = (0, 0)
         best_action = None
         for q in range(n):
             for g in range(layout.k):
                 if g == assign[q]:
                     continue
                 if load[g] < layout.capacity:
-                    gain = -external_gain(q, g)
+                    bad, delta = external_gain(q, g)
+                    gain = (-bad, -delta)
                     if gain > best:
                         best = gain
                         best_action = ("move", q, g)
@@ -158,8 +170,11 @@ def partition_circuit(c: Circuit, layout: VqpuLayout) -> PartitionPlan:
                 ga, gb = assign[a], assign[b]
                 if ga == gb:
                     continue
-                gain = -(external_gain(a, gb) + external_gain(b, ga))
-                gain -= 2 * neighbors[a].get(b, 0)  # pair edge stays cut
+                bad_a, delta_a = external_gain(a, gb)
+                bad_b, delta_b = external_gain(b, ga)
+                w = neighbors[a].get(b, 0)  # the pair edge stays as it was
+                gain = (-(bad_a + bad_b) - 2 * w * unlinked[ga][gb],
+                        -(delta_a + delta_b) - 2 * w)
                 if gain > best:
                     best = gain
                     best_action = ("swap", a, b)
@@ -173,6 +188,11 @@ def partition_circuit(c: Circuit, layout: VqpuLayout) -> PartitionPlan:
         else:
             _, a, b = best_action
             assign[a], assign[b] = assign[b], assign[a]
+    if any(unlinked[assign[a]][assign[b]] for a, b in edges):
+        raise PartitionError(
+            f"found no placement on {layout.k} vQPUs x {layout.capacity} that keeps "
+            f"every interacting pair on linked vQPUs (links {list(layout.links)})"
+        )
 
     groups = [sorted(q for q in range(n) if assign[q] == g) for g in range(layout.k)]
     permutation: dict[int, int] = {}

@@ -3,7 +3,8 @@
 The estimate for a circuit is a sum over op classes of count * seconds
 per op, plus a per-backend linear shot term.  The model prices one op of
 each class as its calibrated coefficient times the class's cost unit
-(``calibration.PRICED``).
+(``calibration.PRICED``).  Measurements and resets are a class on stab
+only; sv and mps pay for terminal draws in the shot term.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ def estimate(
     n = f.n_qubits
     n_1q = counts["1q-clifford"] + counts["1q-nonclifford"]
     n_2q = counts["2q"]
-    n_meas = counts["measure"] + counts["reset"]
     table = model.tables.get(backend)
     if table is None:
         raise PredictionError(f"unknown backend {backend!r}")
@@ -72,13 +72,14 @@ def estimate(
         x = chi if chi is not None else policy_chi(f)
         if x < 1:
             raise ValueError("chi must be >= 1")
-        s_1q, s_2q, s_meas = model.seconds("mps", n, x)
-        return n_1q * s_1q + n_2q * s_2q + n_meas * s_meas + shot_term
+        s_1q, s_2q = model.seconds("mps", n, x)
+        return n_1q * s_1q + n_2q * s_2q + shot_term
 
     if backend == "stab":
         if not f.is_clifford:
             raise PredictionError("tableau backend needs a Clifford-only circuit")
         s_gate, s_meas = model.seconds("stab", n)
+        n_meas = counts["measure"] + counts["reset"]
         return (n_1q + n_2q) * s_gate + n_meas * s_meas + shot_term
 
     raise PredictionError(f"unknown backend {backend!r}")

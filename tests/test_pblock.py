@@ -3,9 +3,9 @@ import pytest
 
 from polysim import pblock, statevector, suite
 from polysim.circuit import Circuit, Instruction
-from polysim.partition import VqpuLayout
+from polysim.partition import PartitionError, VqpuLayout
 from polysim.pblock import PBlockState, reorder_qubits
-from polysim.result import BackendError, QubitCapError
+from polysim.result import QubitCapError
 
 from conftest import (
     chisquare_pvalue,
@@ -338,10 +338,18 @@ def test_distributed_missing_link_rejected():
     c.gate("h", 0)
     for q in range(5):
         c.gate("cx", q, q + 1)
-    c.gate("cx", 0, 5)  # forces an interaction between the end groups
+    c.gate("cx", 0, 5)  # a ring, which {1, 2} | {0, 3} | {4, 5} places on links
     c.measure_all()
-    with pytest.raises(BackendError):
-        pblock.run_distributed(c, layout, shots=10, seed=0)
+    assert sum(pblock.run_distributed(c, layout, shots=10, seed=0).counts.values()) == 10
+    # a 5-clique fills all three vQPUs, so it always interacts across 0 and 2;
+    # it is rejected at placement, before any amplitude is allocated
+    clique = Circuit(6, 6)
+    for a in range(5):
+        for b in range(a + 1, 5):
+            clique.gate("cx", a, b)
+    clique.measure_all()
+    with pytest.raises(PartitionError, match="linked vQPUs"):
+        pblock.run_distributed(clique, layout, shots=10, seed=0)
 
 
 def test_qubit_map_is_partition_after_every_instruction(rng):

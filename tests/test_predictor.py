@@ -169,7 +169,6 @@ def make_model(
     sv_2q=3e-9,
     mps_1q=4e-8,
     mps_2q=6e-8,
-    mps_meas=5e-8,
     stab_gate=1e-8,
     stab_meas=2e-8,
     shots_sv=(1e-4, 2e-6),
@@ -187,9 +186,7 @@ def make_model(
         created="2026-08-16T00:00:00+00:00",
         tables={
             "stab": table((4, 64), (1,), shots_stab, gate=stab_gate, measure=stab_meas),
-            "mps": table(
-                (4, 24), (2, 64), shots_mps, **{"1q": mps_1q, "2q": mps_2q, "measure": mps_meas}
-            ),
+            "mps": table((4, 24), (2, 64), shots_mps, **{"1q": mps_1q, "2q": mps_2q}),
             "sv": table((2, 20), (1,), shots_sv, **{"1q": sv_1q, "2q": sv_2q}),
         },
     )
@@ -238,9 +235,8 @@ def test_mps_estimate_is_exact_arithmetic():
     c = small_mixed_circuit()
     chi = 5
     unit = 3 * chi**3
-    want = (
-        2 * 4e-8 * chi**2 + 2 * 6e-8 * unit + 1 * 5e-8 * unit + 3e-4 + 8e-6 * 200
-    )
+    # the measurement is drawn in the shot term, so it adds no op cost
+    want = 2 * 4e-8 * chi**2 + 2 * 6e-8 * unit + 3e-4 + 8e-6 * 200
     got = estimate(c, "mps", model, shots=200, chi=chi)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -252,6 +248,16 @@ def test_stab_estimate_is_exact_arithmetic():
     want = (4 * 1e-8) * 16 + (4 * 2e-8) * 16 + 5e-5 + 4e-6 * 100
     got = estimate(c, "stab", model, shots=100)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_terminal_measurements_add_no_mps_op_cost():
+    # a terminal measurement is drawn in the shot term on mps, as on sv;
+    # only stab prices one symbolic measurement per measured qubit
+    model = make_model()
+    bare, measured = ghz(6, measured=False), ghz(6)
+    assert estimate(measured, "mps", model, shots=100) == estimate(bare, "mps", model, shots=100)
+    stab = [estimate(c, "stab", model, shots=100) for c in (bare, measured)]
+    assert stab[1] - stab[0] == pytest.approx(6 * 2e-8 * 6**2, rel=1e-9)
 
 
 def test_empty_circuit_estimate_is_shot_term_only():
@@ -392,7 +398,6 @@ def test_selection_is_invariant_under_coefficient_rescaling(rng):
         sv_2q=5.7e-9,
         mps_1q=2.2e-8,
         mps_2q=9.5e-8,
-        mps_meas=6.1e-8,
         stab_gate=1.4e-8,
         stab_meas=2.9e-8,
     )
@@ -473,7 +478,7 @@ def test_model_validation_catches_bad_values():
     rejected(lambda t: t["mps"]["coefs"].update({"1q": t["mps"]["coefs"]["1q"][:1]}))
     rejected(lambda t: t["mps"]["coefs"]["1q"][0].pop())
     rejected(lambda t: t.pop("stab"), match="no calibration table for backend 'stab'")
-    rejected(lambda t: t["mps"]["coefs"].pop("measure"), match="mps table missing class 'measure'")
+    rejected(lambda t: t["mps"]["coefs"].pop("2q"), match="mps table missing class '2q'")
     rejected(lambda t: t["sv"].update(shots=[1e-4, 0.0]))
     rejected(lambda t: t["stab"].update(shots=[-1e-4, 1e-6]))
     rejected(lambda t: t["stab"].update(shots=[1e-4]))
@@ -509,6 +514,13 @@ def test_model_validation_catches_bad_values():
         CalibrationModel.from_dict(v3)
     with pytest.raises(CalibrationError, match="malformed"):
         CalibrationModel.from_dict(dict(v3, version=MODEL_VERSION))
+
+    # a version 4 file, whose mps table still prices measurements
+    v4 = json.loads(json.dumps(good))
+    v4["version"] = 4
+    v4["tables"]["mps"]["coefs"]["measure"] = v4["tables"]["mps"]["coefs"]["2q"]
+    with pytest.raises(CalibrationError, match="polysim calibrate"):
+        CalibrationModel.from_dict(v4)
 
 
 def test_priced_seconds_of_one_op_are_the_timed_seconds(monkeypatch):

@@ -106,7 +106,6 @@ def test_selection_is_scale_invariant():
         sv_2q=5.7e-9,
         mps_1q=2.2e-8,
         mps_2q=9.5e-8,
-        mps_meas=6.1e-8,
         stab_gate=1.4e-8,
         stab_meas=2.9e-8,
     )
