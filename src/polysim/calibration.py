@@ -12,10 +12,11 @@ Only stab prices a measurement, the symbolic ``Tableau.measure`` that
 measurements in the shot sampler, which the shot model prices; the
 projections that split mid-circuit walks are not priced yet.
 
-Between grid nodes a coefficient is read as a power law in n and in chi
-(``polysim.interpolate``); outside a grid it clamps to the nearest node
-while its cost unit keeps growing with n and chi.  Grids, coefficients
-and shot pairs must be finite and positive.
+Between grid nodes a coefficient is read as a power law in n and in chi,
+which is a straight line on log axes; outside a grid it clamps to the
+nearest node while its cost unit keeps growing with n and chi.  Grids must
+be non-empty and strictly increasing, each class's rows must fit them, and
+grids, coefficients and shot pairs must be finite and positive.
 """
 from __future__ import annotations
 
@@ -24,15 +25,16 @@ import json
 import math
 import statistics
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from numbers import Real
 
 import numpy as np
 
 from . import statevector
 from .circuit import Circuit, Instruction
 from .gates import single_qubit_matrix, two_qubit_matrix
-from .interpolate import TensorSurface
 from .mps import MpsState
 from .stabilizer import Tableau
 
@@ -114,6 +116,32 @@ def _check_version(version) -> None:
         )
 
 
+def _loglog(xs, y, x: float) -> float:
+    """The curve through nodes ``(xs[k], y(k))`` read at ``x``.
+
+    A power law between neighbouring nodes, ``y0 * (y1 / y0) ** t`` with
+    ``t = log(x / x0) / log(x1 / x0)``: exact at nodes, monotone on each
+    segment, and clamped outside the grid.  It asks ``y`` for the one or two
+    nodes it reads, so a table read evaluates only the rows that the n
+    segment needs.
+    """
+    last = len(xs) - 1
+    if x <= xs[0]:
+        return y(0)
+    if x >= xs[last]:
+        return y(last)
+    k = bisect_right(xs, x) - 1
+    x0, y0 = xs[k], y(k)
+    if x == x0:  # what the power law gives at its node, without the log and pow
+        return y0
+    return y0 * (y(k + 1) / y0) ** (math.log(x / x0) / math.log(xs[k + 1] / x0))
+
+
+def _finite_positive(values) -> bool:
+    # log axes need values above 0; JSON reads 1e400 as inf
+    return all(isinstance(v, Real) and 0 < v < math.inf for v in values)
+
+
 @dataclass(frozen=True)
 class BackendTable:
     """One backend's calibration: per class, rows over ``grid_n`` of
@@ -124,23 +152,23 @@ class BackendTable:
     coefs: dict[str, tuple[tuple[float, ...], ...]]
     shots: tuple[float, float]
 
+    def read(self, klass: str, n: float, chi: float) -> float:
+        """``klass``'s coefficient at (n, chi): each row read along chi, then
+        the column of those values along n.  That is bilinear in log space,
+        so the other order would differ only in rounding."""
+        rows, grid_chi = self.coefs[klass], self.grid_chi
+        return _loglog(self.grid_n, lambda i: _loglog(grid_chi, rows[i].__getitem__, chi), n)
+
 
 @dataclass
 class CalibrationModel:
     version: int
     created: str
     tables: dict[str, BackendTable]
-    _surfaces: dict[str, list[TensorSurface]] = field(init=False, repr=False)
     _seconds: dict[tuple, tuple[float, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.validate()
-        self._surfaces = {}
-        for backend, classes in PRICED.items():
-            t = self.tables[backend]
-            self._surfaces[backend] = [
-                TensorSurface(t.grid_n, t.grid_chi, t.coefs[klass]) for klass in classes
-            ]
         self._seconds = {}
 
     def validate(self) -> None:
@@ -149,16 +177,26 @@ class CalibrationModel:
             t = self.tables.get(backend)
             if t is None:
                 raise CalibrationError(f"no calibration table for backend {backend!r}")
+            for grid in (t.grid_n, t.grid_chi):
+                if not _finite_positive(grid):
+                    raise CalibrationError(f"{backend} grids must be finite and positive")
+                if not len(grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+                    raise CalibrationError(
+                        f"{backend} grids must be non-empty and strictly increasing"
+                    )
             for klass in classes:
-                if klass not in t.coefs:
+                rows = t.coefs.get(klass)
+                if rows is None:
                     raise CalibrationError(f"{backend} table missing class {klass!r}")
-            # log axes need grids above 0; JSON reads 1e400 as inf
-            if not all(0 < x < math.inf for x in (*t.grid_n, *t.grid_chi)):
-                raise CalibrationError(f"{backend} grids must be finite and positive")
+                if len(rows) != len(t.grid_n) or any(len(r) != len(t.grid_chi) for r in rows):
+                    raise CalibrationError(
+                        f"{backend} {klass} rows do not fit the "
+                        f"{len(t.grid_n)} x {len(t.grid_chi)} grid"
+                    )
             flat = [c for rows in t.coefs.values() for row in rows for c in row]
-            if len(t.shots) != 2 or not all(0 < c < math.inf for c in flat + list(t.shots)):
+            if len(t.shots) != 2 or not _finite_positive(flat + list(t.shots)):
                 raise CalibrationError(
-                    f"{backend} needs finite positive coefficients and a shot pair (c1, c2)"
+                    f"{backend} coefficients and shot pair (c1, c2) must be finite and positive"
                 )
 
     def seconds(self, backend: str, n: int, chi: int = 1) -> tuple[float, ...]:
@@ -169,10 +207,9 @@ class CalibrationModel:
         key = (backend, n, chi)
         priced = self._seconds.get(key)
         if priced is None:
-            units = PRICED[backend].values()
+            t = self.tables[backend]
             priced = tuple(
-                surface(n, chi) * unit(n, chi)
-                for surface, unit in zip(self._surfaces[backend], units)
+                t.read(klass, n, chi) * unit(n, chi) for klass, unit in PRICED[backend].items()
             )
             self._seconds[key] = priced
         return priced
@@ -197,10 +234,10 @@ class CalibrationModel:
                     shots=tuple(t["shots"]),
                 )
             return cls(version=raw["version"], created=raw["created"], tables=tables)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # AttributeError: a list where a mapping belongs.  ValueError: a
-            # grid that is empty or not increasing, or coefficients whose
-            # shape does not fit their grid.
+        except (AttributeError, KeyError, TypeError) as exc:
+            # AttributeError: a list where a mapping belongs.  TypeError: a
+            # number where a list belongs.  Bad grids and coefficients raise
+            # CalibrationError from ``validate``.
             raise CalibrationError(f"malformed calibration data: {exc}") from exc
 
     def save(self, path: str) -> None:

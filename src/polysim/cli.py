@@ -97,7 +97,7 @@ def _cmd_run(args) -> int:
     backend = args.backend
     if backend == "auto":
         model = CalibrationModel.load(_calib_path(args))
-        report = select_backend(c, model, args.shots)
+        report = select_backend(c, model, args.shots, chi=args.chi)
         backend = report.chosen
         payload["predicted_seconds"] = report.estimates[backend]
         payload["estimates"] = report.estimates

@@ -79,7 +79,8 @@ A backend hands the engine a state object with
 * ``defers_through_diagonals``: whether the diagonal rule applies (above);
 * ``copy()``: an independent copy;
 * ``apply(inst)``: apply one gate, which may be a one-qubit op the engine
-  put in place of a two-qubit gate with a known qubit (above);
+  put in place of a two-qubit gate with a known qubit (above); barriers
+  never reach it;
 * ``p1(q)``: the probability that qubit ``q`` reads 1;
 * ``project(q, bit)``: collapse qubit ``q`` onto ``|bit>`` and renormalise;
   the engine then takes ``q`` as known, so ``p1`` and ``project`` are never

@@ -195,8 +195,6 @@ class MpsState:
 
     def apply(self, inst) -> None:
         kind = inst.kind
-        if kind == "barrier":
-            return
         if kind in ONE_QUBIT_GATES:
             self.apply_1q(inst.qubits[0], gates.single_qubit_matrix(kind, inst.params))
             return

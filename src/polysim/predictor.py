@@ -93,10 +93,17 @@ class PredictionReport:
     features: CircuitFeatures
 
 
-def select_backend(c: Circuit, model: CalibrationModel, shots: int) -> PredictionReport:
-    """Estimate every applicable backend and pick the fastest."""
+def select_backend(
+    c: Circuit, model: CalibrationModel, shots: int, chi: int | None = None
+) -> PredictionReport:
+    """Estimate every applicable backend and pick the fastest.
+
+    mps is priced at ``chi`` when the caller will run it at that fixed bond
+    cap, and at the policy budget otherwise.
+    """
     f = extract_features(c)
-    chi = policy_chi(f)
+    if chi is None:
+        chi = policy_chi(f)
     applies = {"stab": f.is_clifford, "mps": True, "sv": f.n_qubits <= statevector.QUBIT_CAP}
     estimates = {
         b: estimate(c, b, model, shots, chi=chi, features=f) for b in PRICED if applies[b]

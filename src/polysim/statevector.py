@@ -227,8 +227,6 @@ def apply_2q(amps: np.ndarray, n: int, qa: int, qb: int, m: np.ndarray) -> None:
 def apply_instruction(amps: np.ndarray, n: int, inst) -> None:
     """Apply one gate in place: an ``Instruction`` or a ``FusedGate`` from ``fuse``."""
     kind = inst.kind
-    if kind == "barrier":
-        return
     if kind == "fused":
         m = inst.matrix
     elif kind in ONE_QUBIT_GATES:

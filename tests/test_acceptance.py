@@ -23,10 +23,9 @@ import test_properties
 from conftest import ghz, random_circuit, two_sample_chisquare_pvalue
 from oracles import contract, final_state, run_unitaries, to_statevector
 from polysim import batch, mps, pblock, stabilizer, statevector, suite
-from polysim.calibration import calibrate
+from polysim.calibration import BackendTable, calibrate
 from polysim.circuit import Circuit
 from polysim.dispatch import run_circuit
-from polysim.interpolate import MonotoneCurve, TensorSurface
 from polysim.metrics import hellinger_fidelity
 from polysim.mps import run_with_fidelity_loop
 from polysim.partition import VqpuLayout
@@ -350,11 +349,17 @@ def test_08_alias_sampler_is_exact_and_flat_cost(capsys):
 
 
 def test_09_runtime_interpolation_is_faithful(capsys):
-    """Interpolated coefficient curves hit nodes, stay monotone, and track 2D."""
+    """Coefficient reads hit nodes, stay monotone, and track 2D."""
+
+    def read(grid_n, grid_chi, rows):
+        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        table = BackendTable(tuple(map(float, grid_n)), tuple(map(float, grid_chi)), {"c": rows}, (1.0, 1.0))
+        return lambda n, chi=1.0: table.read("c", n, chi)
+
     rng = np.random.default_rng(55)
     grid = np.sort(rng.uniform(1, 40, 8))
     values = np.cumsum(rng.uniform(0.1, 2.0, 8))
-    curve = MonotoneCurve(grid, values)
+    curve = read(grid, (1,), [(v,) for v in values])
     node_err = max(
         abs(curve(g) - v) / abs(v) for g, v in zip(grid, values)
     )
@@ -370,7 +375,7 @@ def test_09_runtime_interpolation_is_faithful(capsys):
     surface_vals = [
         [(1 + 0.05 * n) * chi**1.3 for chi in grid_chi] for n in grid_n
     ]
-    surface = TensorSurface(grid_n, grid_chi, surface_vals)
+    surface = read(grid_n, grid_chi, surface_vals)
     max_rel = 0.0
     for n in np.linspace(grid_n[0], grid_n[-1], 23):
         for chi in np.linspace(grid_chi[0], grid_chi[-1], 23):

@@ -7,8 +7,9 @@ from oracles import is_clifford
 
 from polysim import cli
 from polysim.batch import load_directory, run_batch
-from polysim.calibration import MODEL_VERSION, CalibrationConfig, calibrate
+from polysim.calibration import MODEL_VERSION, CalibrationConfig, CalibrationModel, calibrate
 from polysim.circuit import Circuit
+from polysim.predictor import estimate, select_backend
 from polysim.qasm import parse_qasm_file, to_qasm
 from polysim.suite import (
     clifford_circuit,
@@ -229,6 +230,21 @@ def test_cli_run_auto_uses_calibration(tmp_path, capsys, calib_file):
     assert payload["backend"] in ("sv", "mps", "stab")
     assert payload["predicted_seconds"] > 0
     assert sum(payload["counts"].values()) == 100
+
+
+def test_cli_run_auto_prices_mps_at_the_given_chi(tmp_path, capsys, calib_file):
+    qasm = write_qasm(tmp_path, clifford_t_circuit(6, 40, seed=3), "ct6")
+    c = parse_qasm_file(qasm)
+    model = CalibrationModel.load(calib_file)
+    for chi in (1, 4, 300):
+        code = run_cli("run", "--input", qasm, "--backend", "auto", "--calib", calib_file,
+                       "--chi", str(chi), "--shots", "100")
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["estimates"]["mps"] == estimate(c, "mps", model, 100, chi=chi)
+        report = select_backend(c, model, 100, chi=chi)
+        assert payload["estimates"] == report.estimates
+        assert payload["backend"] == report.chosen
 
 
 def test_cli_run_pblock_with_layout(tmp_path, capsys):

@@ -21,7 +21,6 @@ from polysim.calibration import (
 )
 from polysim.circuit import Circuit, concat
 from polysim.features import extract_features
-from polysim.interpolate import InterpolationError, MonotoneCurve, TensorSurface
 from polysim.predictor import (
     PredictionError,
     estimate,
@@ -29,56 +28,80 @@ from polysim.predictor import (
     select_backend,
 )
 
-# ---------------------------------------------------------------- interpolate
+# ------------------------------------------------------------ coefficient reads
+# Every coefficient is read by ``BackendTable.read``, the routine behind
+# ``CalibrationModel.seconds``.  A curve is a table with one chi node.
+
+
+def surface(grid_n, grid_chi, rows):
+    rows = tuple(tuple(float(v) for v in row) for row in rows)
+    table = BackendTable(tuple(map(float, grid_n)), tuple(map(float, grid_chi)), {"c": rows}, (1.0, 1.0))
+    return lambda n, chi: table.read("c", n, chi)
+
+
+def curve(grid, values):
+    read = surface(grid, (1,), [(v,) for v in values])
+    return lambda x: read(x, 1)
+
+
+def model_with(backend, rows=None, **fields):
+    """``make_model()``, built directly, with fields of ``backend``'s table
+    replaced and, if ``rows`` is given, every class's rows set to it."""
+    model = make_model()
+    t = model.tables[backend]
+    if rows is not None:
+        fields["coefs"] = dict.fromkeys(t.coefs, rows)
+    tables = {**model.tables, backend: replace(t, **fields)}
+    return CalibrationModel(version=model.version, created=model.created, tables=tables)
 
 
 def test_curve_reproduces_nodes_exactly():
     grid = [2, 4, 8, 16, 32]
     values = [1.5e-9, 2.1e-9, 2.2e-9, 3.9e-9, 8.0e-9]
-    curve = MonotoneCurve(grid, values)
+    read = curve(grid, values)
     for g, v in zip(grid, values):
-        assert curve(g) == v
+        assert read(g) == v
 
 
 def test_curve_preserves_monotone_data():
     grid = np.array([1.0, 2.0, 3.0, 5.0, 9.0, 17.0])
     values = np.array([1.0, 1.1, 4.0, 4.05, 20.0, 21.0])
-    curve = MonotoneCurve(grid, values)
+    read = curve(grid, values)
     for a, b in zip(grid, grid[1:]):
-        probes = [curve(x) for x in np.linspace(a, b, 100)]
+        probes = [read(x) for x in np.linspace(a, b, 100)]
         diffs = np.diff(probes)
         assert np.all(diffs >= -1e-12)
 
 
 def test_two_point_curve_is_linear():
-    curve = MonotoneCurve([1.0, 3.0], [2.0, 6.0])
+    read = curve([1.0, 3.0], [2.0, 6.0])
     for x, want in [(1.0, 2.0), (1.5, 3.0), (2.0, 4.0), (2.75, 5.5), (3.0, 6.0)]:
-        assert curve(x) == pytest.approx(want, rel=1e-12)
+        assert read(x) == pytest.approx(want, rel=1e-12)
 
 
 def test_curve_clamps_outside_grid():
-    curve = MonotoneCurve([4.0, 8.0, 12.0], [1.0, 2.0, 7.0])
-    assert curve(0.5) == pytest.approx(1.0)
-    assert curve(100.0) == pytest.approx(7.0)
+    read = curve([4.0, 8.0, 12.0], [1.0, 2.0, 7.0])
+    assert read(0.5) == pytest.approx(1.0)
+    assert read(100.0) == pytest.approx(7.0)
 
 
 def test_single_point_curve_is_constant():
-    curve = MonotoneCurve([1.0], [3.25])
-    assert curve(0.0) == 3.25
-    assert curve(1.0) == 3.25
-    assert curve(99.0) == 3.25
+    read = curve([1.0], [3.25])
+    assert read(0.0) == 3.25
+    assert read(1.0) == 3.25
+    assert read(99.0) == 3.25
 
 
 def test_curve_rejects_bad_grids():
-    with pytest.raises(InterpolationError):
-        MonotoneCurve([1.0, 1.0, 2.0], [1, 2, 3])
-    with pytest.raises(InterpolationError):
-        MonotoneCurve([2.0, 1.0], [1, 2])
-    with pytest.raises(InterpolationError):
-        MonotoneCurve([1.0, 2.0], [1, 2, 3])
-    with pytest.raises(InterpolationError):
-        MonotoneCurve([], [])
-    # log axes take only finite positive grids and values
+    def rejected(grid, values, match):
+        with pytest.raises(CalibrationError, match=match):
+            model_with("sv", tuple((v,) for v in values), grid_n=grid, grid_chi=(1,))
+
+    rejected([1.0, 1.0, 2.0], [1, 2, 3], "strictly increasing")
+    rejected([2.0, 1.0], [1, 2], "strictly increasing")
+    rejected([1.0, 2.0], [1, 2, 3], "do not fit")
+    rejected([], [], "non-empty")
+    # log axes take only finite positive numbers, as grids and as values
     for grid, values in (
         ([0.0, 2.0], [1.0, 2.0]),
         ([-1.0, 2.0], [1.0, 2.0]),
@@ -88,11 +111,12 @@ def test_curve_rejects_bad_grids():
         ([1.0, 2.0], [-1.0, 2.0]),
         ([1.0, 2.0], [1.0, math.inf]),
         ([1.0, 2.0], [math.nan, 2.0]),
+        (["1", 2.0], [1.0, 2.0]),
+        ([1.0, 2.0], [None, 2.0]),
     ):
-        with pytest.raises(InterpolationError, match="finite and positive"):
-            MonotoneCurve(grid, values)
-    with pytest.raises(InterpolationError, match="finite and positive"):
-        TensorSurface([4, 8], [2, 4], [[1.0, 2.0], [3.0, math.inf]])
+        rejected(grid, values, "finite and positive")
+    with pytest.raises(CalibrationError, match="finite and positive"):
+        model_with("mps", ((1.0, 2.0), (3.0, math.inf)), grid_n=(4, 8), grid_chi=(2, 4))
 
 
 def test_surface_reproduces_nodes_exactly():
@@ -100,10 +124,10 @@ def test_surface_reproduces_nodes_exactly():
     grid_chi = [2, 4, 8, 16]
     rng = np.random.default_rng(3)
     table = np.sort(rng.uniform(1e-9, 1e-7, size=(3, 4)), axis=None).reshape(3, 4)
-    surface = TensorSurface(grid_n, grid_chi, table)
+    read = surface(grid_n, grid_chi, table)
     for i, n in enumerate(grid_n):
         for j, chi in enumerate(grid_chi):
-            assert surface(n, chi) == table[i, j]
+            assert read(n, chi) == table[i, j]
 
 
 def test_surface_tracks_separable_function():
@@ -113,52 +137,54 @@ def test_surface_tracks_separable_function():
     grid_chi = [2, 4, 8, 16, 32, 64]
     f = lambda n, chi: (1.0 + 0.1 * n) * chi**1.5
     table = [[f(n, chi) for chi in grid_chi] for n in grid_n]
-    surface = TensorSurface(grid_n, grid_chi, table)
+    read = surface(grid_n, grid_chi, table)
     for n in [5.0, 9.5, 14.0, 21.0]:
         for chi in [3.0, 6.0, 12.0, 24.0, 48.0]:
-            assert surface(n, chi) == pytest.approx(f(n, chi), rel=0.05)
+            assert read(n, chi) == pytest.approx(f(n, chi), rel=0.05)
 
 
 def test_surface_clamps_on_both_axes():
     grid_n = [4, 8]
     grid_chi = [2, 4]
     table = [[1.0, 2.0], [3.0, 4.0]]
-    surface = TensorSurface(grid_n, grid_chi, table)
-    assert surface(2, 1) == pytest.approx(1.0)
-    assert surface(50, 1000) == pytest.approx(4.0)
-    assert surface(4, 1000) == pytest.approx(2.0)
+    read = surface(grid_n, grid_chi, table)
+    assert read(2, 1) == pytest.approx(1.0)
+    assert read(50, 1000) == pytest.approx(4.0)
+    assert read(4, 1000) == pytest.approx(2.0)
 
 
 def test_surface_rejects_shape_mismatch():
-    with pytest.raises(InterpolationError):
-        TensorSurface([4, 8], [2, 4], [[1.0, 2.0]])
+    with pytest.raises(CalibrationError, match="do not fit"):
+        model_with("mps", ((1.0, 2.0),), grid_n=(4, 8), grid_chi=(2, 4))
+    with pytest.raises(CalibrationError, match="do not fit"):
+        model_with("mps", ((1.0, 2.0), (3.0,)), grid_n=(4, 8), grid_chi=(2, 4))
 
 
 def test_surface_at_a_grid_chi_reads_the_same_column_the_rows_give():
     grid_n, grid_chi = [4, 8, 16], [2, 4, 8, 16]
     table = np.random.default_rng(4).uniform(1e-9, 1e-7, size=(3, 4))
-    surface = TensorSurface(grid_n, grid_chi, table)
-    rows = [MonotoneCurve(grid_chi, row) for row in table]
+    read = surface(grid_n, grid_chi, table)
+    rows = [curve(grid_chi, row) for row in table]
     for chi in grid_chi:
-        column = MonotoneCurve(grid_n, [row(chi) for row in rows])
+        column = curve(grid_n, [row(chi) for row in rows])
         for n in (2.0, 4.0, 5.5, 11.0, 16.0, 40.0):
-            assert surface(n, chi) == column(n)
+            assert read(n, chi) == column(n)
 
 
 def test_surface_interpolates_rows_along_chi_then_the_column_along_n():
     grid = [1.0, 2.0, 4.0]
     table = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]
-    column = [MonotoneCurve(grid, row)(2.5) for row in table]
-    assert TensorSurface([2, 4], grid, table)(3.0, 2.5) == MonotoneCurve([2, 4], column)(3.0)
+    column = [curve(grid, row)(2.5) for row in table]
+    assert surface([2, 4], grid, table)(3.0, 2.5) == curve([2, 4], column)(3.0)
 
 
 def test_curve_follows_a_power_law_between_nodes():
     # costs that are powers of n or chi are straight lines on log axes
     f = lambda x: 3e-9 * x**2.5
     grid = [2.0, 4.0, 8.0, 32.0]
-    curve = MonotoneCurve(grid, [f(x) for x in grid])
+    read = curve(grid, [f(x) for x in grid])
     for x in (2.5, 3.0, 5.0, 7.9, 11.0, 20.0, 31.0):
-        assert curve(x) == pytest.approx(f(x), rel=1e-12)
+        assert read(x) == pytest.approx(f(x), rel=1e-12)
 
 
 # ----------------------------------------------------------- synthetic models
@@ -357,6 +383,21 @@ def test_select_backend_prefers_cheap_tableau_for_clifford():
     assert report.chi == 2
 
 
+def test_select_backend_prices_mps_at_a_given_chi():
+    # cheap mps ops, so the pick turns on the chi mps is priced at
+    model = make_model(mps_1q=1e-9, mps_2q=1e-9, shots_mps=(1e-4, 2e-6))
+    c = small_mixed_circuit()
+    budget = select_backend(c, model, shots=100)
+    assert budget.chi == policy_chi(extract_features(c))
+    assert budget.estimates["mps"] == estimate(c, "mps", model, 100, chi=budget.chi)
+    for chi, pick in ((1, "mps"), (2, "mps"), (3, "sv"), (48, "sv")):
+        report = select_backend(c, model, shots=100, chi=chi)
+        assert report.chi == chi
+        assert report.estimates["mps"] == estimate(c, "mps", model, 100, chi=chi)
+        assert report.estimates["sv"] == budget.estimates["sv"]
+        assert report.chosen == pick
+
+
 def test_select_backend_omits_stab_for_nonclifford():
     model = make_model()
     c = small_mixed_circuit()
@@ -493,6 +534,21 @@ def test_model_validation_catches_bad_values():
     rejected(lambda t: t["stab"].update(grid_n=[0, 64]), match="grids must be finite and positive")
     rejected(lambda t: t["mps"].update(grid_n=[-4, 24]), match="grids must be finite and positive")
     rejected(lambda t: t["sv"].update(grid_chi=[0]), match="grids must be finite and positive")
+
+    # a model built directly checks its tables as a loaded one does
+    def rejected_directly(backend, match, **fields):
+        with pytest.raises(CalibrationError, match=match):
+            model_with(backend, **fields)
+
+    mps_coefs = make_model().tables["mps"].coefs
+    rejected_directly("sv", "strictly increasing", grid_n=(20, 2))
+    rejected_directly("mps", "strictly increasing", grid_chi=(2, 2))
+    rejected_directly("stab", "non-empty", grid_n=())
+    rejected_directly("mps", "mps 2q rows do not fit", coefs={
+        "1q": mps_coefs["1q"], "2q": (mps_coefs["2q"][0], mps_coefs["2q"][1][:1])})
+    rejected_directly("mps", "mps 1q rows do not fit", coefs={
+        "1q": mps_coefs["1q"][:1], "2q": mps_coefs["2q"]})
+    rejected_directly("sv", "finite and positive", grid_n=("2", "20"))
 
     bad = json.loads(json.dumps(good))
     bad["version"] = 99
