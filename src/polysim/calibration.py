@@ -7,8 +7,11 @@ unit in ``PRICED``, plus a linear shot model.  Every sample is the median
 of several repetitions, and each repetition loops the operation until it
 runs long enough for the wall clock to resolve it.
 
-Only stab prices a measurement, the symbolic ``Tableau.measure`` that
-``stabilizer.run`` makes for each one.  sv and mps draw terminal
+stab's ``gate`` coefficient is one ``Tableau.apply_gates`` call, the call
+``stabilizer.run`` makes between two measurements, on a run of h and s on
+every qubit and, for n > 1, a ring of cx, divided by the run's length; so
+the price includes reading and writing the touched columns.  Only stab prices a measurement, the symbolic ``Tableau.measure``
+that ``stabilizer.run`` makes for each one.  sv and mps draw terminal
 measurements in the shot sampler, which the shot model prices; the
 projections that split mid-circuit walks are not priced yet.
 
@@ -301,21 +304,24 @@ def _stab_point(
     n: int, reps: int, min_seconds: float, rng: np.random.Generator
 ) -> dict[str, float]:
     tab = Tableau(n)
+    warm = []
     for _ in range(3 * n):
         q = int(rng.integers(n))
         roll = rng.random()
         if roll < 0.4 and n > 1:
-            tab.cx(q, (q + 1) % n)
+            warm.append(Instruction("cx", (q, (q + 1) % n)))
         elif roll < 0.7:
-            tab.h(q)
+            warm.append(Instruction("h", (q,)))
         else:
-            tab.s(q)
-    ops = itertools.cycle(
-        [lambda q=q: tab.h(q) for q in range(n)]
-        + [lambda q=q: tab.s(q) for q in range(n)]
-        + ([lambda q=q: tab.cx(q, (q + 1) % n) for q in range(n)] if n > 1 else [])
+            warm.append(Instruction("s", (q,)))
+    tab.apply_gates(warm)
+    gates = (
+        [Instruction("h", (q,)) for q in range(n)]
+        + [Instruction("s", (q,)) for q in range(n)]
+        + ([Instruction("cx", (q, (q + 1) % n)) for q in range(n)] if n > 1 else [])
     )
-    t_gate = _median_seconds(lambda: next(ops)(), reps, min_seconds)
+    # one run between two measurements, as ``stabilizer.run`` applies it
+    t_gate = _median_seconds(lambda: tab.apply_gates(gates), reps, min_seconds) / len(gates)
     t_copy = _median_seconds(tab.copy, reps, min_seconds)
 
     def measure_clone():

@@ -130,7 +130,7 @@ def _cmd_run(args) -> int:
 def _cmd_predict(args) -> int:
     c = parse_qasm_file(args.input)
     model = CalibrationModel.load(_calib_path(args))
-    report = select_backend(c, model, args.shots)
+    report = select_backend(c, model, args.shots, chi=args.chi)
     f = report.features
     payload = {
         "version": OUTPUT_VERSION,
@@ -233,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred_p = sub.add_parser("predict", help="predict runtimes without executing", parents=[common])
     pred_p.add_argument("--input", required=True)
     pred_p.add_argument("--shots", type=_positive_int, default=1000)
+    pred_p.add_argument("--chi", type=_positive_int, default=None, help="price mps at this bond cap")
     pred_p.add_argument("--calib", default=None)
     pred_p.add_argument("--output", default=None)
     pred_p.set_defaults(func=_cmd_predict)

@@ -2,17 +2,23 @@
 
 The tableau holds 2n rows of X and Z bits plus a phase column; rows 0..n-1
 are destabilizers, rows n..2n-1 stabilizers (Aaronson & Gottesman,
-arXiv:quant-ph/0406196).  Gate updates are vectorized over rows.
+arXiv:quant-ph/0406196).  The X and Z bits are (2n x n) uint8 arrays.  `run`
+hands each run of gates between two measurements or resets to
+`Tableau.apply_gates`, which reads every column the run touches into one
+Python int and applies the gates as big-int bit operations on whole columns,
+as Stim's tableau updates work on machine words (Gidney, arXiv:2103.02202).
+Measurements stay on the arrays, vectorized over rows.
 
 The X and Z bits never depend on measurement outcomes, and the phases depend
 on them only linearly over GF(2).  So each phase is an affine form: a
 constant bit plus one coefficient per random outcome opened so far.  `run`
 passes over the circuit once, opening a fresh variable at every measurement
 whose outcome is random, and then draws all shots together from the forms of
-the measured clbits.  Its cost is the tableau work of each gate and each
-measurement, O(n^2) apiece and paid once per circuit, plus one GF(2) product
-of (shots x k) fair bits with the (k x m) coefficient matrix per batch of
-shots.  Circuits with hundreds of qubits and many shots stay cheap.
+the measured clbits.  Its cost, paid once per circuit, is O(n) per column a
+gate run touches plus a near-constant big-int cost per gate and O(n^2) per
+measurement; then one GF(2) product of (shots x k) fair bits with the (k x m)
+coefficient matrix per batch of shots.  Circuits with hundreds of qubits and
+many shots stay cheap.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ import time
 
 import numpy as np
 
-from .circuit import ONE_QUBIT_CLIFFORD, Circuit
+from .circuit import Circuit
 from .result import BackendError, NoMeasurementsError, RunResult
 
 # Bound on the float64 bits of one batch of shots in `_sample_forms`.
@@ -32,17 +38,16 @@ class NotCliffordError(BackendError):
     """Raised when a non-Clifford gate reaches the tableau backend."""
 
 
+# Aaronson-Gottesman's g(x1, z1, x2, z2) at index 8 x1 + 4 z1 + 2 x2 + z2.
+_G = np.array([0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 1, 0, 1, -1, 0], dtype=np.int8)
+
+
 def _phase_sum(x1, z1, x2, z2) -> np.ndarray:
     """Power of i picked up when Pauli rows (x2, z2) are multiplied by (x1, z1).
 
     Sums Aaronson-Gottesman's g function over the last axis.
     """
-    x2 = x2.astype(np.int8)
-    z2 = z2.astype(np.int8)
-    g = np.where((x1 == 1) & (z1 == 1), z2 - x2, 0)
-    g += np.where((x1 == 1) & (z1 == 0), z2 * (2 * x2 - 1), 0)
-    g += np.where((x1 == 0) & (z1 == 1), x2 * (1 - 2 * z2), 0)
-    return g.sum(axis=-1, dtype=np.int64)
+    return _G[(x1 << 3) | (z1 << 2) | (x2 << 1) | z2].sum(axis=-1, dtype=np.int64)
 
 
 class Tableau:
@@ -68,69 +73,79 @@ class Tableau:
 
     # --- Clifford gates (they change only the constant phase bits) ---------
 
-    def h(self, q: int) -> None:
-        self.r[:, 0] ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+    def apply_gates(self, gates) -> None:
+        """Apply a run of Clifford gates (barriers are skipped).
 
-    def s(self, q: int) -> None:
-        self.r[:, 0] ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
-
-    def sdg(self, q: int) -> None:
-        self.r[:, 0] ^= self.x[:, q] & (self.z[:, q] ^ 1)
-        self.z[:, q] ^= self.x[:, q]
-
-    def x_gate(self, q: int) -> None:
-        self.r[:, 0] ^= self.z[:, q]
-
-    def y_gate(self, q: int) -> None:
-        self.r[:, 0] ^= self.x[:, q] ^ self.z[:, q]
-
-    def z_gate(self, q: int) -> None:
-        self.r[:, 0] ^= self.x[:, q]
-
-    def cx(self, c: int, t: int) -> None:
-        self.r[:, 0] ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
-
-    def cz(self, a: int, b: int) -> None:
-        self.h(b)
-        self.cx(a, b)
-        self.h(b)
-
-    def swap(self, a: int, b: int) -> None:
-        self.cx(a, b)
-        self.cx(b, a)
-        self.cx(a, b)
-
-    def apply(self, inst) -> None:
-        kind = inst.kind
-        if kind == "barrier":
-            return
-        if kind in ONE_QUBIT_CLIFFORD:
-            q = inst.qubits[0]
-            if kind == "h":
-                self.h(q)
+        The first gate that touches a column reads it, from ``x`` and from
+        ``z``, into a Python int that holds row i in byte i (so bit 8i), which
+        costs one copy of the column and no bit packing.  The
+        Aaronson-Gottesman updates then run as big-int ``&`` and ``^`` on those
+        ints, and only the touched columns are written back: a run costs O(n)
+        per touched column plus a near-constant amount per gate.  Gates flip
+        only the constant phase bits; the outcome coefficients stay as they
+        are.  A non-Clifford gate raises, and since nothing is written back
+        before the run ends, the tableau is left as it was.
+        """
+        rows = 2 * self.n
+        tx, tz = self.x, self.z
+        X: dict[int, int] = {}
+        Z: dict[int, int] = {}
+        flips = 0
+        for inst in gates:
+            kind = inst.kind
+            if kind == "barrier":
+                continue
+            for q in inst.qubits:
+                if q not in X:
+                    X[q] = int.from_bytes(tx[:, q].tobytes(), "little")
+                    Z[q] = int.from_bytes(tz[:, q].tobytes(), "little")
+            if kind == "cx":
+                c, t = inst.qubits
+                xc, zt = X[c], Z[t]
+                flips ^= xc & zt & ~(X[t] ^ Z[c])
+                X[t] ^= xc
+                Z[c] ^= zt
+            elif kind == "h":
+                q = inst.qubits[0]
+                x, z = X[q], Z[q]
+                flips ^= x & z
+                X[q], Z[q] = z, x
             elif kind == "s":
-                self.s(q)
+                q = inst.qubits[0]
+                x = X[q]
+                flips ^= x & Z[q]
+                Z[q] ^= x
             elif kind == "sdg":
-                self.sdg(q)
+                q = inst.qubits[0]
+                x = X[q]
+                flips ^= x & ~Z[q]
+                Z[q] ^= x
             elif kind == "x":
-                self.x_gate(q)
+                flips ^= Z[inst.qubits[0]]
+            elif kind == "z":
+                flips ^= X[inst.qubits[0]]
             elif kind == "y":
-                self.y_gate(q)
+                q = inst.qubits[0]
+                flips ^= X[q] ^ Z[q]
+            elif kind == "cz":
+                a, b = inst.qubits
+                xa, xb = X[a], X[b]
+                flips ^= xa & xb & (Z[a] ^ Z[b])
+                Z[a] ^= xb
+                Z[b] ^= xa
+            elif kind == "swap":
+                a, b = inst.qubits
+                X[a], X[b] = X[b], X[a]
+                Z[a], Z[b] = Z[b], Z[a]
             else:
-                self.z_gate(q)
-            return
-        if kind == "cx":
-            self.cx(*inst.qubits)
-        elif kind == "cz":
-            self.cz(*inst.qubits)
-        elif kind == "swap":
-            self.swap(*inst.qubits)
-        else:
-            raise NotCliffordError(f"{kind} is not simulable on a tableau")
+                raise NotCliffordError(f"{kind} is not simulable on a tableau")
+        for q, v in X.items():
+            tx[:, q] = np.frombuffer(v.to_bytes(rows, "little"), np.uint8)
+        for q, v in Z.items():
+            tz[:, q] = np.frombuffer(v.to_bytes(rows, "little"), np.uint8)
+        if flips:
+            r0 = self.r[:, 0]
+            np.bitwise_xor(r0, np.frombuffer(flips.to_bytes(rows, "little"), np.uint8), out=r0)
 
     # --- measurement ---------------------------------------------------------
 
@@ -138,12 +153,13 @@ class Tableau:
         """row_i <- row_i * row_p for every i in rows (phases mod 4)."""
         if rows.size == 0:
             return
-        g = _phase_sum(self.x[p], self.z[p], self.x[rows], self.z[rows])
+        x, z = self.x[rows], self.z[rows]
+        g = _phase_sum(self.x[p], self.z[p], x, z)
         # (2 r_i + 2 r_p + g) mod 4, halved, is r_i xor r_p xor ((g mod 4) // 2).
         self.r[rows] ^= self.r[p]
         self.r[rows, 0] ^= ((g % 4) // 2).astype(np.uint8)
-        self.x[rows] ^= self.x[p]
-        self.z[rows] ^= self.z[p]
+        self.x[rows] = x ^ self.x[p]
+        self.z[rows] = z ^ self.z[p]
 
     def _open_variable(self, row: int) -> None:
         """Give row the form of a fresh outcome variable, growing the columns."""
@@ -241,13 +257,18 @@ def run(c: Circuit, shots: int, seed: int) -> RunResult:
     start = time.perf_counter()
     tab = Tableau(c.n_qubits)
     forms: dict[int, np.ndarray] = {}
+    gates: list = []  # the run since the last measurement or reset
     for inst in c.instructions:
+        if inst.kind != "measure" and inst.kind != "reset":
+            gates.append(inst)
+            continue
+        tab.apply_gates(gates)
+        gates = []
         if inst.kind == "measure":
             forms[inst.clbit] = tab.measure(inst.qubits[0])
-        elif inst.kind == "reset":
-            tab.reset(inst.qubits[0])
         else:
-            tab.apply(inst)
+            tab.reset(inst.qubits[0])
+    tab.apply_gates(gates)
     # The key puts the lowest measured clbit rightmost.
     ordered = [forms[cl] for cl in sorted(forms, reverse=True)]
     counts = _sample_forms(ordered, shots, np.random.default_rng(seed))

@@ -10,13 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from polysim import statevector
-from polysim.circuit import ONE_QUBIT_CLIFFORD, TWO_QUBIT_GATES, Circuit
+from polysim.circuit import ONE_QUBIT_CLIFFORD, TWO_QUBIT_GATES, Circuit, Instruction
 from polysim.features import extract_features
 from polysim.mps import MpsState
 from polysim.pblock import PBlockState, reorder_qubits
 from polysim.result import BackendError, QubitCapError
 from polysim.sampling import AliasTable
-from polysim.stabilizer import Tableau
+from polysim.stabilizer import NotCliffordError, Tableau, _sample_forms
 
 # Kinds that may appear in a circuit and still leave it simulable on a
 # stabilizer tableau.  Rotation gates never qualify, whatever their angle.
@@ -104,6 +104,83 @@ def symplectic_products(tab: Tableau) -> np.ndarray:
     return ((x @ z.T) + (z @ x.T)) % 2
 
 
+# Aaronson-Gottesman's gate rules on the uint8 columns of a ``Tableau``, one
+# numpy update per column; ``Tableau.apply_gates`` must match them bit for bit.
+
+
+def _h(t: Tableau, q: int) -> None:
+    t.r[:, 0] ^= t.x[:, q] & t.z[:, q]
+    t.x[:, q], t.z[:, q] = t.z[:, q].copy(), t.x[:, q].copy()
+
+
+def _s(t: Tableau, q: int) -> None:
+    t.r[:, 0] ^= t.x[:, q] & t.z[:, q]
+    t.z[:, q] ^= t.x[:, q]
+
+
+def _sdg(t: Tableau, q: int) -> None:
+    t.r[:, 0] ^= t.x[:, q] & (t.z[:, q] ^ 1)
+    t.z[:, q] ^= t.x[:, q]
+
+
+def _cx(t: Tableau, c: int, q: int) -> None:
+    t.r[:, 0] ^= t.x[:, c] & t.z[:, q] & (t.x[:, q] ^ t.z[:, c] ^ 1)
+    t.x[:, q] ^= t.x[:, c]
+    t.z[:, c] ^= t.z[:, q]
+
+
+def _cz(t: Tableau, a: int, b: int) -> None:
+    _h(t, b)
+    _cx(t, a, b)
+    _h(t, b)
+
+
+def _swap(t: Tableau, a: int, b: int) -> None:
+    _cx(t, a, b)
+    _cx(t, b, a)
+    _cx(t, a, b)
+
+
+def _x(t: Tableau, q: int) -> None:
+    t.r[:, 0] ^= t.z[:, q]
+
+
+def _y(t: Tableau, q: int) -> None:
+    t.r[:, 0] ^= t.x[:, q] ^ t.z[:, q]
+
+
+def _z(t: Tableau, q: int) -> None:
+    t.r[:, 0] ^= t.x[:, q]
+
+
+_NUMPY_RULES = {"h": _h, "s": _s, "sdg": _sdg, "x": _x, "y": _y, "z": _z,
+                "cx": _cx, "cz": _cz, "swap": _swap}
+
+
+def apply_numpy(tab: Tableau, inst) -> None:
+    """One gate on ``tab`` by the per-column numpy rules; barriers do nothing."""
+    if inst.kind == "barrier":
+        return
+    if inst.kind not in _NUMPY_RULES:
+        raise NotCliffordError(f"{inst.kind} is not simulable on a tableau")
+    _NUMPY_RULES[inst.kind](tab, *inst.qubits)
+
+
+def run_numpy(c: Circuit, shots: int, seed: int) -> dict[str, int]:
+    """``stabilizer.run``'s counts with every gate applied by `apply_numpy`."""
+    tab = Tableau(c.n_qubits)
+    forms = {}
+    for inst in c.instructions:
+        if inst.kind == "measure":
+            forms[inst.clbit] = tab.measure(inst.qubits[0])
+        elif inst.kind == "reset":
+            tab.reset(inst.qubits[0])
+        else:
+            apply_numpy(tab, inst)
+    ordered = [forms[cl] for cl in sorted(forms, reverse=True)]
+    return _sample_forms(ordered, shots, np.random.default_rng(seed))
+
+
 def _g(x1: int, z1: int, x2: int, z2: int) -> int:
     """Aaronson-Gottesman's g: the power of i from multiplying Pauli (x2, z2) by (x1, z1)."""
     if x1 and z1:
@@ -120,7 +197,7 @@ class ConcreteTableau:
 
     The measurement is Aaronson & Gottesman's (arXiv:quant-ph/0406196), one
     scalar rowsum at a time, with one phase bit per row; gates go through
-    ``stabilizer.Tableau``'s updates, which touch only the constant bits.
+    ``Tableau.apply_gates``, which touches only the constant bits.
     Outcomes come from ``draws.integers(2)``.
     """
 
@@ -128,7 +205,7 @@ class ConcreteTableau:
         self.tab = Tableau(n)
 
     def apply(self, inst) -> None:
-        self.tab.apply(inst)
+        self.tab.apply_gates([inst])
 
     def _product(self, row, p: int):
         """``row`` times tableau row ``p``, as (x, z, r) with Python ints."""
@@ -167,7 +244,7 @@ class ConcreteTableau:
 
     def reset(self, q: int, draws) -> None:
         if self.measure(q, draws):
-            self.tab.x_gate(q)
+            self.tab.apply_gates([Instruction("x", (q,))])
 
 
 # --- sampling ---------------------------------------------------------------

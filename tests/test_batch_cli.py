@@ -3,6 +3,7 @@ import os
 
 import pytest
 from conftest import ghz
+from test_predictor import make_model
 from oracles import is_clifford
 
 from polysim import cli
@@ -266,6 +267,28 @@ def test_cli_predict_lists_stab_for_clifford(tmp_path, capsys, calib_file):
     assert "stab" in payload["estimates"]
     assert payload["features"]["is_clifford"] is True
     assert payload["chosen"] in payload["estimates"]
+
+
+def test_cli_predict_and_run_auto_name_one_backend_at_a_given_chi(tmp_path, capsys):
+    # Constant coefficients and equal shot terms: mps at the policy chi (2 for
+    # a GHZ chain) undercuts stab, and mps at chi 8 costs 4**3 times more.
+    model = make_model(sv_1q=1e-6, sv_2q=1e-6, stab_gate=1e-7, stab_meas=1e-7,
+                       shots_sv=(1e-4, 1e-9), shots_mps=(1e-4, 1e-9), shots_stab=(1e-4, 1e-9))
+    calib = str(tmp_path / "calib.json")
+    model.save(calib)
+    qasm = write_qasm(tmp_path, ghz_circuit(12), "ghz12")
+    picks = {}
+    for chi in (None, 8):
+        flag = () if chi is None else ("--chi", str(chi))
+        assert run_cli("predict", "--input", qasm, "--calib", calib, "--shots", "100", *flag) == 0
+        predicted = json.loads(capsys.readouterr().out)
+        assert run_cli("run", "--input", qasm, "--backend", "auto", "--calib", calib,
+                       "--shots", "100", *flag) == 0
+        ran = json.loads(capsys.readouterr().out)
+        assert predicted["chosen"] == ran["backend"]
+        assert predicted["estimates"] == ran["estimates"]
+        picks[chi] = predicted["chosen"]
+    assert picks == {None: "mps", 8: "stab"}
 
 
 def test_cli_env_var_overrides_calib_flag(tmp_path, capsys, calib_file, monkeypatch):

@@ -580,8 +580,9 @@ def test_model_validation_catches_bad_values():
 
 
 def test_priced_seconds_of_one_op_are_the_timed_seconds(monkeypatch):
-    # With a constant timer, one sv 2q, mps 2q and stab gate op cost the
-    # timed seconds, so calibrate's units and estimate's must agree.
+    # With a constant timer, one sv 2q or mps 2q op costs the timed seconds
+    # and one stab gate the timed seconds over the 3n gates of the run the
+    # stab timer applies, so calibrate's units and estimate's must agree.
     timed = 3.7e-5
     monkeypatch.setattr(calibration, "_median_seconds", lambda fn, reps, floor: timed)
     cfg = CalibrationConfig(
@@ -598,10 +599,11 @@ def test_priced_seconds_of_one_op_are_the_timed_seconds(monkeypatch):
         one = Circuit(n)
         one.gate("cx", 0, 1)
         empty = Circuit(n)
+        per_op = timed / (3 * n) if backend == "stab" else timed
         op = estimate(one, backend, model, 0, chi=chi) - estimate(empty, backend, model, 0, chi=chi)
-        assert op == pytest.approx(timed, rel=1e-9), backend
+        assert op == pytest.approx(per_op, rel=1e-9), backend
         priced = dict(zip(calibration.PRICED[backend], model.seconds(backend, n, chi)))
-        assert priced[klass] == pytest.approx(timed, rel=1e-12), backend
+        assert priced[klass] == pytest.approx(per_op, rel=1e-12), backend
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from oracles import norm, run_unitaries, symplectic_products
 from test_predictor import make_model, scaled_model
 
 from polysim import statevector
+from polysim.circuit import Instruction
 from polysim.partition import VqpuLayout, partition_circuit
 from polysim.predictor import estimate, select_backend
 from polysim.stabilizer import Tableau
@@ -43,15 +44,18 @@ def test_tableau_rows_keep_symplectic_pairing():
         expected = np.zeros((2 * n, 2 * n), dtype=np.int64)
         expected[np.arange(n), n + np.arange(n)] = 1
         expected[n + np.arange(n), np.arange(n)] = 1
-        tab = Tableau(n)
+        gates = []
         for _ in range(30):
             roll = rng.random()
             if roll < 0.35:
                 a, b = rng.choice(n, size=2, replace=False)
-                getattr(tab, str(rng.choice(("cx", "cz", "swap"))))(int(a), int(b))
+                kind = str(rng.choice(("cx", "cz", "swap")))
+                gates.append(Instruction(kind, (int(a), int(b))))
             else:
-                kind = str(rng.choice(("h", "s", "sdg", "x_gate", "y_gate", "z_gate")))
-                getattr(tab, kind)(int(rng.integers(n)))
+                kind = str(rng.choice(("h", "s", "sdg", "x", "y", "z")))
+                gates.append(Instruction(kind, (int(rng.integers(n)),)))
+        tab = Tableau(n)
+        tab.apply_gates(gates)
         assert np.array_equal(symplectic_products(tab), expected), f"case {case}"
 
 

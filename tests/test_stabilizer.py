@@ -7,7 +7,7 @@ from polysim import stabilizer as stab
 from polysim.circuit import Circuit, Instruction
 from polysim.result import NoMeasurementsError
 from conftest import chisquare_pvalue, ghz, oracle_distribution, random_circuit
-from oracles import ConcreteTableau, symplectic_products
+from oracles import ConcreteTableau, apply_numpy, run_numpy, symplectic_products
 
 
 def test_ghz40_two_outcomes_fast():
@@ -154,7 +154,7 @@ def test_forms_match_concrete_replay(rng):
             elif inst.kind == "reset":
                 symbolic.reset(inst.qubits[0])
             else:
-                symbolic.apply(inst)
+                symbolic.apply_gates([inst])
         for _ in range(8):
             bits = rng.integers(0, 2, size=symbolic.k)
             expected = [int(f[0] ^ f[1:] @ bits[: f.size - 1] % 2) for f in forms]
@@ -204,13 +204,101 @@ def test_tableau_group_structure(rng):
         n = int(rng.integers(2, 7))
         c = random_circuit(n, 30, rng, clifford_only=True, measured=False)
         tab = stab.Tableau(n)
-        for inst in c.instructions:
-            tab.apply(inst)
+        tab.apply_gates(c.instructions)
         products = symplectic_products(tab)
         expected = np.zeros((2 * n, 2 * n), dtype=np.int64)
         expected[:n, n:] = np.eye(n, dtype=np.int64)
         expected[n:, :n] = np.eye(n, dtype=np.int64)
         np.testing.assert_array_equal(products, expected)
+
+
+GATE_KINDS = ("h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap", "barrier")
+
+
+def random_gate(n, rng) -> Instruction:
+    """Any gate kind or a barrier; two-qubit kinds need n > 1."""
+    kinds = GATE_KINDS if n > 1 else GATE_KINDS[:6] + ("barrier",)
+    kind = str(rng.choice(kinds))
+    if kind in ("cx", "cz", "swap"):
+        a, b = rng.choice(n, size=2, replace=False)
+        return Instruction(kind, (int(a), int(b)))
+    if kind == "barrier":
+        size = int(rng.integers(1, n + 1))
+        return Instruction(kind, tuple(int(q) for q in rng.choice(n, size=size, replace=False)))
+    return Instruction(kind, (int(rng.integers(n)),))
+
+
+def interleaved_clifford(n, rng, n_runs=12) -> Circuit:
+    """Runs of random gates separated by measurements and resets."""
+    c = Circuit(n, n)
+    for _ in range(n_runs):
+        for _ in range(int(rng.integers(1, 3 * n + 4))):
+            c.append(random_gate(n, rng))
+        q = int(rng.integers(n))
+        if rng.random() < 0.7:
+            c.measure(q, int(rng.integers(n)))
+        else:
+            c.append(Instruction("reset", (q,)))
+    for q in range(n):
+        c.measure(q, q)
+    return c
+
+
+@pytest.mark.parametrize("n", [1, 4, 31, 32, 33, 64, 65, 130])
+def test_gate_runs_match_numpy_rules_bitwise(n):
+    """Each run leaves x, z and every phase column as the per-gate numpy
+    rules do, across byte and 64-bit word edges of the 2n rows, and leaves
+    the outcome coefficients alone."""
+    rng = np.random.default_rng(5000 + n)
+    for _ in range(4):
+        c = interleaved_clifford(n, rng)
+        fast, slow = stab.Tableau(n), stab.Tableau(n)
+        gates = []
+        for inst in c.instructions:
+            if inst.kind not in ("measure", "reset"):
+                gates.append(inst)
+                apply_numpy(slow, inst)
+                continue
+            forms = fast.r[:, 1 : 1 + fast.k].copy()
+            fast.apply_gates(gates)
+            gates = []
+            np.testing.assert_array_equal(fast.r[:, 1 : 1 + fast.k], forms)
+            for a, b in ((fast.x, slow.x), (fast.z, slow.z), (fast.r, slow.r)):
+                np.testing.assert_array_equal(a, b)
+            if inst.kind == "measure":
+                np.testing.assert_array_equal(fast.measure(inst.qubits[0]),
+                                              slow.measure(inst.qubits[0]))
+            else:
+                fast.reset(inst.qubits[0])
+                slow.reset(inst.qubits[0])
+        assert fast.k > 0
+
+
+@pytest.mark.parametrize("n", [1, 4, 31, 32, 33, 64, 65, 130])
+def test_run_counts_match_numpy_rules(n):
+    rng = np.random.default_rng(6000 + n)
+    for trial in range(3):
+        c = interleaved_clifford(n, rng)
+        for shots in (1, 200):
+            assert stab.run(c, shots, seed=trial).counts == run_numpy(c, shots, seed=trial)
+
+
+def test_non_clifford_gate_mid_run_leaves_the_tableau_alone():
+    rng = np.random.default_rng(7)
+    tab = stab.Tableau(5)
+    tab.apply_gates([random_gate(5, rng) for _ in range(20)])
+    tab.measure(2)
+    before = tab.copy()
+    run = [Instruction("h", (0,)), Instruction("cx", (0, 1)), Instruction("t", (1,)),
+           Instruction("s", (3,))]
+    with pytest.raises(stab.NotCliffordError, match="^t is not simulable on a tableau$"):
+        tab.apply_gates(run)
+    for a, b in ((tab.x, before.x), (tab.z, before.z), (tab.r, before.r)):
+        np.testing.assert_array_equal(a, b)
+    c = Circuit(2, 2)
+    c.gate("h", 0).measure(0, 0).gate("cx", 0, 1).gate("tdg", 1).gate("h", 1).measure(1, 1)
+    with pytest.raises(stab.NotCliffordError, match="^tdg is not simulable on a tableau$"):
+        stab.run(c, shots=1, seed=0)
 
 
 def test_seed_determinism():
