@@ -3,8 +3,8 @@ Parse an OpenQASM 2 program and run it
 ======================================
 
 The parser turns QASM text into a Circuit, and any backend consumes that
-same object.  Qubit 0 is the least significant bit of every reported
-bitstring.
+same object.  A reported bitstring has one character per clbit that a
+measurement writes, the lowest clbit rightmost.
 """
 
 from polysim.qasm import parse_qasm
@@ -26,11 +26,11 @@ circuit = parse_qasm(PROGRAM, name="ghz3")
 print(f"parsed {circuit.name}: {circuit.n_qubits} qubits, "
       f"{len(circuit.instructions)} instructions")
 
-# The feature summary is what the backend selector reasons about.
+# The features the backend selector prices a circuit by.
 features = extract_features(circuit)
-print(f"clifford={features.is_clifford} "
-      f"terminal_only={features.terminal_measurement_only} "
+print(f"n_qubits={features.n_qubits} clifford={features.is_clifford} "
       f"entanglement_proxy={features.entanglement_proxy}")
+print(f"op counts: {features.counts_by_class}")
 
 result = statevector.run(circuit, shots=2000, seed=7)
 print(f"\ncounts from {result.shots} shots on '{result.backend}':")

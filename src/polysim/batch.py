@@ -4,10 +4,10 @@ Policies: fixed-sv-threshold runs the state-vector backend up to its qubit
 cap (``statevector.QUBIT_CAP``) and the tensor-network backend above;
 fixed-mps and fixed-stab pin one backend; auto asks the predictor per
 circuit and reuses the features it extracted, so each circuit is analysed
-once.  Tensor-network runs always go through the fidelity loop (threshold
-0.95, bond dimension doubling from 4, each chi scored by 1 - eps over the
-run's worst path).  A circuit that fails is recorded and the batch
-continues.
+once.  ``run_one``, which ``polysim run`` shares, runs tensor-network
+jobs through the fidelity loop (threshold 0.95, bond dimension doubling
+from 4, each chi scored by 1 - eps over the run's worst path).  A circuit
+that fails is recorded and the batch continues.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .features import extract_features
 from .mps import run_with_fidelity_loop
 from .predictor import select_backend
 from .qasm import parse_qasm_file
+from .result import RunResult
 
 REPORT_VERSION = 1
 POLICIES = ("fixed-sv-threshold", "fixed-mps", "fixed-stab", "auto")
@@ -86,6 +87,21 @@ def load_directory(path: str) -> list[tuple[str, Circuit | Exception]]:
     return entries
 
 
+def run_one(
+    c: Circuit, backend: str, shots: int, seed: int, chi: int | None = None,
+    fidelity_threshold: float = 0.95,
+) -> tuple[RunResult, int | None, float | None]:
+    """Run `c` once, or through the fidelity loop for mps without a bond cap.
+
+    Returns the result, the cap mps ran at (None on other backends) and the
+    loop's fidelity (None outside the loop)."""
+    if backend == "mps" and chi is None:
+        loop = run_with_fidelity_loop(c, shots, seed, threshold=fidelity_threshold)
+        return loop.result, loop.chi, loop.fidelity
+    result = run_circuit(c, backend, shots, seed, chi=chi)
+    return result, chi if backend == "mps" else None, None
+
+
 def run_batch(
     source: str | list[Circuit],
     policy: str,
@@ -142,16 +158,9 @@ def run_batch(
                 backend = "stab"
 
             run_started = time.perf_counter()
-            if backend == "mps":
-                loop = run_with_fidelity_loop(c, shots, seed, threshold=fidelity_threshold)
-                wall = time.perf_counter() - run_started
-                counts = loop.result.counts
-                chi = loop.chi
-                fidelity = loop.fidelity
-            else:
-                result = run_circuit(c, backend, shots, seed)
-                wall = time.perf_counter() - run_started
-                counts = result.counts
+            result, chi, fidelity = run_one(c, backend, shots, seed, None, fidelity_threshold)
+            wall = time.perf_counter() - run_started
+            counts = result.counts
         except Exception as exc:
             wall = 0.0 if run_started is None else time.perf_counter() - run_started
             error = f"{type(exc).__name__}: {exc}"

@@ -8,11 +8,10 @@ import sys
 import time
 
 from . import pblock
-from .batch import POLICIES, run_batch
+from .batch import POLICIES, run_batch, run_one
 from .calibration import CalibrationError, CalibrationModel, calibrate
 from .circuit import CircuitError
-from .dispatch import BACKENDS, run_circuit
-from .mps import run_with_fidelity_loop
+from .dispatch import BACKENDS
 from .partition import PartitionError, VqpuLayout
 from .predictor import select_backend
 from .qasm import QasmError, parse_qasm_file
@@ -106,17 +105,14 @@ def _cmd_run(args) -> int:
     if args.layout:  # only with pblock (checked in main)
         layout = VqpuLayout.from_json(args.layout)
         result = pblock.run_distributed(c, layout, args.shots, args.seed)
-    elif backend == "mps" and args.chi is None:
-        loop = run_with_fidelity_loop(
-            c, args.shots, args.seed, threshold=args.fidelity_threshold
-        )
-        result = loop.result
-        payload["chi"] = loop.chi
-        payload["fidelity"] = loop.fidelity
     else:
-        result = run_circuit(c, backend, args.shots, args.seed, chi=args.chi)
-        if backend == "mps":
-            payload["chi"] = args.chi
+        result, chi, fidelity = run_one(
+            c, backend, args.shots, args.seed, args.chi, args.fidelity_threshold
+        )
+        if chi is not None:
+            payload["chi"] = chi
+        if fidelity is not None:
+            payload["fidelity"] = fidelity
     wall = time.perf_counter() - t0
     payload["metadata"] = result.metadata
 
@@ -143,7 +139,6 @@ def _cmd_predict(args) -> int:
             "n_qubits": f.n_qubits,
             "total_gates": f.total_gates,
             "is_clifford": f.is_clifford,
-            "terminal_measurement_only": f.terminal_measurement_only,
             "entanglement_proxy": f.entanglement_proxy,
         },
     }

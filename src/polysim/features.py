@@ -13,7 +13,6 @@ class CircuitFeatures:
     total_gates: int
     counts_by_class: dict[str, int]
     is_clifford: bool
-    terminal_measurement_only: bool
     entanglement_proxy: int
 
 
@@ -28,9 +27,7 @@ def extract_features(c: Circuit) -> CircuitFeatures:
     """
     n = c.n_qubits
     cut_delta = [0] * n  # crossings of cut i = sum of cut_delta[:i + 1]
-    measured: set[int] = set()
     n_1q_clifford = n_1q_other = n_2q = n_measure = n_reset = 0
-    terminal_only = True
 
     for inst in c.instructions:
         kind = inst.kind
@@ -41,26 +38,14 @@ def extract_features(c: Circuit) -> CircuitFeatures:
                 a, b = b, a
             cut_delta[a] += 1
             cut_delta[b] -= 1
-            if measured and (a in measured or b in measured):
-                terminal_only = False
-            continue
-        if kind == "barrier":
-            continue
-        q = inst.qubits[0]
-        if kind in ONE_QUBIT_CLIFFORD:
+        elif kind in ONE_QUBIT_CLIFFORD:
             n_1q_clifford += 1
         elif kind == "measure":
             n_measure += 1
-            measured.add(q)
-            continue
         elif kind == "reset":
             n_reset += 1
-            terminal_only = False
-            continue
-        else:
+        elif kind != "barrier":
             n_1q_other += 1
-        if measured and q in measured:
-            terminal_only = False
 
     counts = {
         "1q-clifford": n_1q_clifford,
@@ -74,6 +59,5 @@ def extract_features(c: Circuit) -> CircuitFeatures:
         total_gates=n_1q_clifford + n_1q_other + n_2q + n_measure + n_reset,
         counts_by_class=counts,
         is_clifford=n_1q_other == 0,
-        terminal_measurement_only=terminal_only,
         entanglement_proxy=max(accumulate(cut_delta[:-1])) if n > 1 else 0,
     )

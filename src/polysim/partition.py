@@ -10,7 +10,7 @@ refinement removes such cuts first, and a plan that keeps one is rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import TWO_QUBIT_GATES, Circuit
 from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
@@ -26,12 +26,12 @@ class VqpuLayout:
 
     k: int
     capacity: int
-    links: tuple[tuple[int, int], ...] = field(default=())
+    links: tuple[tuple[int, int], ...] | None = None  # None links every pair; () none
 
     def __post_init__(self):
         if self.k < 1 or self.capacity < 1:
             raise PartitionError("need k >= 1 and capacity >= 1")
-        if not self.links:
+        if self.links is None:
             full = tuple(
                 (a, b) for a in range(self.k) for b in range(a + 1, self.k)
             )
@@ -48,7 +48,7 @@ class VqpuLayout:
         try:
             k = int(d["k"])
             capacity = int(d["capacity"])
-            links = tuple((int(a), int(b)) for a, b in d.get("links", ()))
+            links = tuple((int(a), int(b)) for a, b in d["links"]) if "links" in d else None
         except KeyError as missing:
             raise PartitionError(f"layout is missing {missing}") from None
         except (TypeError, ValueError, OverflowError) as exc:

@@ -37,6 +37,15 @@ def policy_chi(features: CircuitFeatures) -> int:
     return 1 << features.entanglement_proxy
 
 
+def _misfit(backend: str, f: CircuitFeatures) -> str | None:
+    """Why `backend` cannot run a circuit with features `f`, or None if it can."""
+    if backend == "sv" and f.n_qubits > statevector.QUBIT_CAP:
+        return f"{f.n_qubits} qubits exceeds the state-vector cap ({statevector.QUBIT_CAP})"
+    if backend == "stab" and not f.is_clifford:
+        return "tableau backend needs a Clifford-only circuit"
+    return None
+
+
 def estimate(
     c: Circuit,
     backend: str,
@@ -48,23 +57,20 @@ def estimate(
     """Predicted wall seconds for running `c` on `backend`."""
     if shots < 0:
         raise ValueError("shots must be >= 0")
+    if backend not in PRICED:
+        raise PredictionError(f"unknown backend {backend!r}")
     f = features if features is not None else extract_features(c)
+    reason = _misfit(backend, f)
+    if reason is not None:
+        raise PredictionError(reason)
     counts = f.counts_by_class
     n = f.n_qubits
     n_1q = counts["1q-clifford"] + counts["1q-nonclifford"]
     n_2q = counts["2q"]
-    table = model.tables.get(backend)
-    if table is None:
-        raise PredictionError(f"unknown backend {backend!r}")
-    c1, c2 = table.shots
+    c1, c2 = model.tables[backend].shots
     shot_term = c1 + c2 * shots
 
     if backend == "sv":
-        if n > statevector.QUBIT_CAP:
-            raise PredictionError(
-                f"{n} qubits exceeds the state-vector cap "
-                f"({statevector.QUBIT_CAP})"
-            )
         s_1q, s_2q = model.seconds("sv", n)
         return n_1q * s_1q + n_2q * s_2q + shot_term
 
@@ -75,14 +81,9 @@ def estimate(
         s_1q, s_2q = model.seconds("mps", n, x)
         return n_1q * s_1q + n_2q * s_2q + shot_term
 
-    if backend == "stab":
-        if not f.is_clifford:
-            raise PredictionError("tableau backend needs a Clifford-only circuit")
-        s_gate, s_meas = model.seconds("stab", n)
-        n_meas = counts["measure"] + counts["reset"]
-        return (n_1q + n_2q) * s_gate + n_meas * s_meas + shot_term
-
-    raise PredictionError(f"unknown backend {backend!r}")
+    s_gate, s_meas = model.seconds("stab", n)
+    n_meas = counts["measure"] + counts["reset"]
+    return (n_1q + n_2q) * s_gate + n_meas * s_meas + shot_term
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class PredictionReport:
 def select_backend(
     c: Circuit, model: CalibrationModel, shots: int, chi: int | None = None
 ) -> PredictionReport:
-    """Estimate every applicable backend and pick the fastest.
+    """Estimate every backend that fits the circuit and pick the fastest.
 
     mps is priced at ``chi`` when the caller will run it at that fixed bond
     cap, and at the policy budget otherwise.
@@ -104,9 +105,10 @@ def select_backend(
     f = extract_features(c)
     if chi is None:
         chi = policy_chi(f)
-    applies = {"stab": f.is_clifford, "mps": True, "sv": f.n_qubits <= statevector.QUBIT_CAP}
     estimates = {
-        b: estimate(c, b, model, shots, chi=chi, features=f) for b in PRICED if applies[b]
+        b: estimate(c, b, model, shots, chi=chi, features=f)
+        for b in PRICED
+        if _misfit(b, f) is None
     }
     # min keeps the first of equal estimates, so ties follow PRICED's order
     chosen = min(estimates, key=estimates.__getitem__)

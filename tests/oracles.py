@@ -11,7 +11,6 @@ import numpy as np
 
 from polysim import statevector
 from polysim.circuit import ONE_QUBIT_CLIFFORD, TWO_QUBIT_GATES, Circuit, Instruction
-from polysim.features import extract_features
 from polysim.mps import MpsState
 from polysim.pblock import PBlockState, reorder_qubits
 from polysim.result import BackendError, QubitCapError
@@ -38,11 +37,24 @@ def measure(state, q: int, rng: np.random.Generator) -> int:
 # --- sv ---------------------------------------------------------------------
 
 
+def _collapses_mid_circuit(c: Circuit) -> bool:
+    """True when a reset, or a gate on an already measured qubit, occurs."""
+    measured: set[int] = set()
+    for inst in c.instructions:
+        if inst.kind == "reset":
+            return True
+        if inst.kind == "measure":
+            measured.add(inst.qubits[0])
+        elif inst.is_unitary and measured.intersection(inst.qubits):
+            return True
+    return False
+
+
 def final_state(c: Circuit) -> np.ndarray:
     """The state after the circuit's gates, from one pass over the fused ops."""
     if c.n_qubits > statevector.QUBIT_CAP:
         raise QubitCapError(f"{c.n_qubits} qubits exceeds the cap of {statevector.QUBIT_CAP}")
-    if not extract_features(c).terminal_measurement_only:
+    if _collapses_mid_circuit(c):
         raise BackendError("a final state needs a circuit without mid-circuit collapse")
     amps = statevector.zero_state(c.n_qubits)
     for op in statevector.fuse(c.instructions):

@@ -6,7 +6,7 @@ from conftest import ghz
 from test_predictor import make_model
 from oracles import is_clifford
 
-from polysim import cli
+from polysim import batch, cli
 from polysim.batch import load_directory, run_batch
 from polysim.calibration import MODEL_VERSION, CalibrationConfig, CalibrationModel, calibrate
 from polysim.circuit import Circuit
@@ -17,6 +17,7 @@ from polysim.suite import (
     clifford_t_circuit,
     generate_torture_suite,
     ghz_circuit,
+    qaoa_line_circuit,
 )
 
 
@@ -291,6 +292,37 @@ def test_cli_predict_and_run_auto_name_one_backend_at_a_given_chi(tmp_path, caps
     assert picks == {None: "mps", 8: "stab"}
 
 
+def test_cli_run_routes_each_circuit_as_the_batch_does(tmp_path, capsys):
+    # Constant coefficients rigged so auto picks each of stab, sv and mps once.
+    model = make_model(sv_1q=1e-6, sv_2q=1e-6, stab_gate=1e-8, stab_meas=1e-8,
+                       shots_sv=(1e-4, 1e-9), shots_mps=(1e-4, 1e-9), shots_stab=(1e-4, 1e-9))
+    calib = str(tmp_path / "calib.json")
+    model.save(calib)
+    suite_dir = tmp_path / "circuits"
+    suite_dir.mkdir()
+    for c in (ghz_circuit(6), clifford_t_circuit(3, 12, seed=1), qaoa_line_circuit(10, 1, seed=2)):
+        write_qasm(suite_dir, c, c.name)
+    shots, seed = 200, 4
+    picks = set()
+    for policy, flags in (("auto", ("--backend", "auto", "--calib", calib)),
+                          ("fixed-mps", ("--backend", "mps"))):
+        report = run_batch(str(suite_dir), policy, model=model, shots=shots, seed=seed)
+        for rec in report.records:
+            assert rec.error is None
+            qasm = str(suite_dir / f"{rec.name}.qasm")
+            assert run_cli("run", "--input", qasm, "--shots", str(shots), "--seed", str(seed),
+                           *flags) == 0
+            ran = json.loads(capsys.readouterr().out)
+            assert ran["backend"] == rec.backend, (policy, rec.name)
+            assert ran.get("chi") == rec.chi, (policy, rec.name)
+            assert ran.get("fidelity") == rec.fidelity, (policy, rec.name)
+            assert ran["counts"] == rec.counts, (policy, rec.name)
+            if policy == "auto":
+                picks.add(rec.backend)
+                assert ran["predicted_seconds"] == rec.predicted_seconds
+    assert picks == {"stab", "sv", "mps"}
+
+
 def test_cli_env_var_overrides_calib_flag(tmp_path, capsys, calib_file, monkeypatch):
     qasm = write_qasm(tmp_path, ghz_circuit(3), "ghz3")
     monkeypatch.setenv("MAESTRO_CALIB", calib_file)
@@ -413,7 +445,7 @@ def test_cli_exit_codes_separate_bad_input_from_internal_failures(tmp_path, caps
     def broken(*args, **kwargs):
         raise ValueError("an internal invariant failed")
 
-    monkeypatch.setattr(cli, "run_circuit", broken)
+    monkeypatch.setattr(batch, "run_circuit", broken)
     assert run_cli("run", "--input", qasm, "--backend", "sv") == 4
     capsys.readouterr()
 

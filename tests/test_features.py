@@ -42,24 +42,6 @@ def test_clifford_flag_is_angle_blind():
     assert extract_features(d).is_clifford
 
 
-def test_terminal_measurement_detection():
-    t = ghz(3)
-    assert extract_features(t).terminal_measurement_only
-
-    mid = Circuit(2, 2)
-    mid.gate("h", 0).measure(0, 0).gate("x", 0).measure(1, 1)
-    assert not extract_features(mid).terminal_measurement_only
-
-    other_qubit = Circuit(2, 2)
-    other_qubit.gate("h", 0).measure(0, 0).gate("x", 1).measure(1, 1)
-    assert extract_features(other_qubit).terminal_measurement_only
-
-    with_reset = Circuit(2, 2)
-    with_reset.append(Instruction("reset", (0,)))
-    with_reset.measure_all()
-    assert not extract_features(with_reset).terminal_measurement_only
-
-
 def test_entanglement_proxy_linear_chain_is_one():
     assert extract_features(ghz(40)).entanglement_proxy == 1
 
@@ -112,11 +94,6 @@ def _reference_features(c: Circuit) -> CircuitFeatures:
     counts = {k: 0 for k in ("1q-clifford", "1q-nonclifford", "2q", "measure", "reset")}
     for inst in ops:
         counts[kind_class(inst)] += 1
-    terminal_only = not any(inst.kind == "reset" for inst in ops) and all(
-        not (inst.is_unitary and any(
-            later.kind == "measure" and later.qubits[0] in inst.qubits for later in ops[:k]))
-        for k, inst in enumerate(ops)
-    )
     graph: dict[tuple[int, int], int] = {}
     for inst in ops:
         if len(inst.qubits) == 2:
@@ -131,7 +108,6 @@ def _reference_features(c: Circuit) -> CircuitFeatures:
         total_gates=len(ops),
         counts_by_class=counts,
         is_clifford=is_clifford(c),
-        terminal_measurement_only=terminal_only,
         entanglement_proxy=proxy,
     )
 

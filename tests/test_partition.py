@@ -127,6 +127,9 @@ def test_layout_json_roundtrip(tmp_path):
     # omitted links default to fully connected
     path.write_text(json.dumps({"k": 3, "capacity": 4}))
     assert VqpuLayout.from_json(str(path)).links == ((0, 1), (0, 2), (1, 2))
+    # an empty list declares no links at all
+    path.write_text(json.dumps({"k": 3, "capacity": 4, "links": []}))
+    assert VqpuLayout.from_json(str(path)).links == ()
 
     path.write_text(json.dumps({"k": 3}))
     with pytest.raises(PartitionError):
@@ -183,5 +186,17 @@ def test_triangle_on_a_capacity_one_line_is_rejected(tmp_path):
     qasm.write_text(to_qasm(c))
     layout = tmp_path / "line.json"
     layout.write_text(json.dumps({"k": 3, "capacity": 1, "links": [[0, 1], [1, 2]]}))
+    argv = ["run", "--input", str(qasm), "--backend", "pblock", "--layout", str(layout)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+
+
+def test_layout_without_links_refuses_any_cut(tmp_path):
+    c = suite.ghz_circuit(4)
+    with pytest.raises(PartitionError, match="linked"):
+        partition_circuit(c, VqpuLayout(2, 2, links=()))
+    qasm = tmp_path / "ghz4.qasm"
+    qasm.write_text(to_qasm(c))
+    layout = tmp_path / "unlinked.json"
+    layout.write_text(json.dumps({"k": 2, "capacity": 2, "links": []}))
     argv = ["run", "--input", str(qasm), "--backend", "pblock", "--layout", str(layout)]
     assert cli.main(argv) == cli.EXIT_INPUT

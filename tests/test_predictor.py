@@ -404,6 +404,9 @@ def test_select_backend_omits_stab_for_nonclifford():
     report = select_backend(c, model, shots=100)
     assert "stab" not in report.estimates
     assert set(report.estimates) == {"mps", "sv"}
+    with pytest.raises(PredictionError) as exc:
+        estimate(c, "stab", model, shots=100)
+    assert str(exc.value) == "tableau backend needs a Clifford-only circuit"
 
 
 def test_select_backend_omits_sv_over_cap():
@@ -414,6 +417,10 @@ def test_select_backend_omits_sv_over_cap():
     report = select_backend(c, model, shots=10)
     assert "sv" not in report.estimates
     assert report.chosen == "stab"
+    with pytest.raises(PredictionError) as exc:
+        estimate(c, "sv", model, shots=10)
+    n = statevector.QUBIT_CAP + 2
+    assert str(exc.value) == f"{n} qubits exceeds the state-vector cap ({statevector.QUBIT_CAP})"
 
 
 def test_tie_breaks_follow_fixed_backend_order():
