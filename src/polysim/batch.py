@@ -1,13 +1,14 @@
 """Batch execution of circuit directories under a routing policy.
 
-Policies: fixed-sv-threshold runs the state-vector backend up to its qubit
-cap (``statevector.QUBIT_CAP``) and the tensor-network backend above;
-fixed-mps and fixed-stab pin one backend; auto asks the predictor per
-circuit and reuses the features it extracted, so each circuit is analysed
-once.  ``run_one``, which ``polysim run`` shares, runs tensor-network
-jobs through the fidelity loop (threshold 0.95, bond dimension doubling
-from 4, each chi scored by 1 - eps over the run's worst path).  A circuit
-that fails is recorded and the batch continues.
+Policies: fixed-sv-threshold runs the state-vector backend wherever the
+predictor's fit rule (``predictor.misfit``: up to ``statevector.QUBIT_CAP``)
+admits it and the tensor-network backend elsewhere; fixed-mps and
+fixed-stab pin one backend; auto asks the predictor per circuit.  The
+threshold and auto policies reuse the features they extracted, so each
+circuit is analysed once.  ``run_one``, which ``polysim run`` shares, runs
+tensor-network jobs through the fidelity loop (threshold 0.95, bond
+dimension doubling from 4, each chi scored by 1 - eps over the run's worst
+path).  A circuit that fails is recorded and the batch continues.
 """
 from __future__ import annotations
 
@@ -16,13 +17,12 @@ import os
 import time
 from dataclasses import dataclass
 
-from . import statevector
 from .calibration import CalibrationModel
 from .circuit import Circuit
 from .dispatch import run_circuit
 from .features import extract_features
 from .mps import run_with_fidelity_loop
-from .predictor import select_backend
+from .predictor import misfit, select_backend
 from .qasm import parse_qasm_file
 from .result import RunResult
 
@@ -151,7 +151,8 @@ def run_batch(
                 backend = report.chosen
                 predicted = report.estimates[backend]
             elif policy == "fixed-sv-threshold":
-                backend = "sv" if c.n_qubits <= statevector.QUBIT_CAP else "mps"
+                features = extract_features(c)
+                backend = "sv" if misfit("sv", features) is None else "mps"
             elif policy == "fixed-mps":
                 backend = "mps"
             else:

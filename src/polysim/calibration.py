@@ -41,8 +41,9 @@ from .gates import single_qubit_matrix, two_qubit_matrix
 from .mps import MpsState
 from .stabilizer import Tableau
 
-# Version 5: one table per priced backend, laid out by ``PRICED``.
-MODEL_VERSION = 5
+# Version 6: one table per priced backend, laid out by ``PRICED``; sv's 2q
+# class is half a 4-qubit kernel from ``statevector.WIDE_MIN`` on.
+MODEL_VERSION = 6
 _COEF_FLOOR = 1e-12
 
 
@@ -264,24 +265,35 @@ class CalibrationModel:
 
 
 def _sv_point(n: int, reps: int, min_seconds: float) -> dict[str, float]:
-    """Seconds of a one- and a two-qubit gate as sv runs them.
+    """Seconds of a one- and a two-qubit gate as sv runs them on n qubits.
 
     ``statevector.fuse`` folds each one-qubit gate into the next two-qubit
     gate on its qubit, so a one-qubit gate costs its share of the fusion
-    pass, and a two-qubit gate one kernel on the dense 4x4 that folding
-    leaves.  A run of one-qubit gates that no two-qubit gate absorbs still
-    costs a kernel of its own, which this split does not price.
+    pass.  Below ``statevector.WIDE_MIN`` a two-qubit gate costs one kernel
+    on the dense 4x4 that folding leaves.  From ``WIDE_MIN`` on, ``fuse``
+    groups two disjoint pairs into one 4-qubit kernel, so a two-qubit gate
+    costs half of one dense 16x16 kernel, and the pass includes the
+    grouping.  A run of one-qubit gates that no two-qubit gate absorbs
+    still costs a kernel of its own, which this split does not price.
     """
     amps = statevector.zero_state(n)
     rx = single_qubit_matrix("rx", (0.3,))
     fused = two_qubit_matrix("cx") @ np.kron(rx, rx)
     layer = [Instruction("rx", (q,), (0.3,)) for q in range(n)]
     layer += [Instruction("cx", (q, q + 1)) for q in range(0, n - 1, 2)]
-    pairs = itertools.cycle([(q, (q + 1) % n) for q in range(n)])
-    t1 = _median_seconds(lambda: statevector.fuse(layer), reps, min_seconds) / n
-    t2 = _median_seconds(
-        lambda: statevector.apply_2q(amps, n, *next(pairs), fused), reps, min_seconds
-    )
+    t1 = _median_seconds(lambda: statevector.fuse(layer, n), reps, min_seconds) / n
+    if n < statevector.WIDE_MIN:
+        pairs = itertools.cycle([(q, (q + 1) % n) for q in range(n)])
+        t2 = _median_seconds(
+            lambda: statevector.apply_2q(amps, n, *next(pairs), fused), reps, min_seconds
+        )
+    else:
+        wide = statevector.FusedGate((0, 1, 2, 3), np.kron(fused, fused))
+        quads = itertools.cycle([tuple((q + i) % n for i in range(4)) for q in range(n)])
+        t2 = _median_seconds(
+            lambda: statevector.apply_instruction(amps, n, wide._replace(qubits=next(quads))),
+            reps, min_seconds,
+        ) / 2
     return {"1q": t1, "2q": t2}
 
 

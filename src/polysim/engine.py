@@ -89,6 +89,7 @@ A backend hands the engine a state object with
   qubits, as counts keyed by bitstrings whose i-th character is the outcome
   of ``qubits[i]``.  The engine passes one qubit per drawn clbit, in key
   order (lowest clbit rightmost), so a qubit may appear more than once.
+  It is the last call on its state, so it may consume the state.
 
 Gates reach the engine as ``Instruction``s or as fused ops: named tuples
 with ``kind == "fused"``, their ``qubits`` and a ``matrix`` (first qubit the
@@ -112,7 +113,8 @@ def run_shots(
 ) -> dict[str, int]:
     """Counts of ``shots`` runs of ``instructions`` from ``state``.
 
-    ``state`` itself walks the first path and is left at its end.  When
+    ``state`` itself walks the first path, and its ``sample`` is the last
+    call on it.  When
     given, ``on_leaf(state)`` is called with the state at the end of every
     path before its deferred measurements are drawn, so it is called once
     per walk.

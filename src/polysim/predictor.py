@@ -37,7 +37,7 @@ def policy_chi(features: CircuitFeatures) -> int:
     return 1 << features.entanglement_proxy
 
 
-def _misfit(backend: str, f: CircuitFeatures) -> str | None:
+def misfit(backend: str, f: CircuitFeatures) -> str | None:
     """Why `backend` cannot run a circuit with features `f`, or None if it can."""
     if backend == "sv" and f.n_qubits > statevector.QUBIT_CAP:
         return f"{f.n_qubits} qubits exceeds the state-vector cap ({statevector.QUBIT_CAP})"
@@ -60,7 +60,7 @@ def estimate(
     if backend not in PRICED:
         raise PredictionError(f"unknown backend {backend!r}")
     f = features if features is not None else extract_features(c)
-    reason = _misfit(backend, f)
+    reason = misfit(backend, f)
     if reason is not None:
         raise PredictionError(reason)
     counts = f.counts_by_class
@@ -108,7 +108,7 @@ def select_backend(
     estimates = {
         b: estimate(c, b, model, shots, chi=chi, features=f)
         for b in PRICED
-        if _misfit(b, f) is None
+        if misfit(b, f) is None
     }
     # min keeps the first of equal estimates, so ties follow PRICED's order
     chosen = min(estimates, key=estimates.__getitem__)

@@ -20,6 +20,14 @@ class QubitCapError(BackendError):
     """The circuit needs more qubits than the backend is configured to hold."""
 
 
+# A sorted search pays for its argsort only with many shots on a large
+# support.  With numpy 2.4 on a 2-CPU Xeon, 1000 shots took 42 -> 33 us on
+# 2^10 bins and 360 -> 196 us on 2^20 bins, but 300 shots were slower
+# sorted at every support size, and so were 20000 shots on 16 bins.  One
+# threshold, about the smallest gain measured, serves shots and bins.
+SORTED_SEARCH_MIN = 1 << 10
+
+
 @dataclass
 class RunResult:
     counts: dict[str, int]
@@ -42,19 +50,32 @@ def sample_measurement_groups(
     joint probability vector, little-endian in that qubit order.  Groups are
     independent, so a full shot is assembled from one draw per group.  A
     group's draws are made by inverse CDF: one cumulative sum and a binary
-    search per shot, with no table to build.  Each draw's bits are packed
-    into as many 63-bit words as the measured qubits need, so the number of
-    measured qubits is not capped.  Keys read the qubits in ``order``, which
-    may list a qubit more than once.
+    search per shot, with no table to build.  Consumes each group's
+    probabilities: the cumulative sum is taken in place (its values are
+    those of an out-of-place sum), so a caller passes a float array of its
+    own, as ``statevector.marginal_probs`` returns, and does not read it
+    afterwards.  From ``SORTED_SEARCH_MIN`` shots on a support at least as
+    large, the shots' uniforms are searched in sorted order, where each
+    search starts near the last, and each index is stored back at its shot,
+    so the draws are those of an unsorted search.  Each draw's bits
+    are packed into as many 63-bit words as the measured qubits need, so the
+    number of measured qubits is not capped.  Keys read the qubits in
+    ``order``, which may list a qubit more than once.
     """
     words: list[np.ndarray] = []
     where: dict[int, tuple[int, int]] = {}  # qubit -> (word, bit)
     used = 63
     for qubits, probs in groups:
-        cdf = np.cumsum(probs)
+        cdf = np.cumsum(probs, out=probs)
         if not abs(cdf[-1] - 1.0) <= 1e-9:
             raise SamplingError(f"probabilities sum to {cdf[-1]}, not 1")
-        idx = np.searchsorted(cdf, rng.random(shots) * cdf[-1], side="right")
+        u = rng.random(shots) * cdf[-1]
+        if shots >= SORTED_SEARCH_MIN and len(cdf) >= SORTED_SEARCH_MIN:
+            sorted_at = np.argsort(u)
+            idx = np.empty(shots, dtype=np.intp)
+            idx[sorted_at] = np.searchsorted(cdf, u[sorted_at], side="right")
+        else:
+            idx = np.searchsorted(cdf, u, side="right")
         np.minimum(idx, len(probs) - 1, out=idx)
         if used + len(qubits) > 63:
             words.append(np.zeros(shots, dtype=np.int64))

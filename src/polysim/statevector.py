@@ -3,16 +3,25 @@
 Qubit 0 is the least significant bit of the amplitude index.  ``run`` first
 fuses the circuit (``fuse``): every one-qubit gate is folded into the next
 two-qubit gate on its qubit, so a layer of one- and two-qubit gates costs
-one kernel per pair.  Kernels work in place.  Diagonal and
-generalized-permutation matrices (cx, cz, swap, phase gates, and fused
-products of them) touch each amplitude once; any other matrix is applied as
-one matmul per chunk of ``CHUNK`` amplitudes gathered into a small buffer,
-so no temporary grows with the state.  ``SvState`` is the state the shot
-engine (``polysim.engine``) walks; terminal draws come from the measured
-qubits' marginal through ``sample_measurement_groups``.
+one kernel per pair.  On states of at least ``WIDE_MIN`` qubits whose
+circuit the shot engine walks once (no reset, and no gate after a
+measurement on that measurement's qubit), consecutive kernels are then
+grouped into kernels of up to ``WIDTH`` (4) qubits, so two disjoint pairs
+cost one pass over the state instead of two; any other circuit keeps the
+folded stream.  Kernels work in place.  Diagonal and generalized-permutation
+matrices (cx, cz, swap, phase gates, and fused products of them) touch each
+amplitude once; any other matrix is applied as one matmul per chunk of
+``CHUNK`` amplitudes (``WIDE_CHUNK`` for 3 and 4 qubits) gathered into a
+small buffer, so no temporary grows with the state.  ``SvState`` is the
+state the shot engine (``polysim.engine``) walks.  Its terminal draw is its
+last use, so the measured qubits' marginal is written over the state's own
+memory and ``sample_measurement_groups`` consumes it: the draw allocates no
+array of the state's size.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from typing import NamedTuple
 
@@ -31,15 +40,30 @@ QUBIT_CAP = 26  # 1 GiB of complex128 amplitudes
 # 2^12..2^15 ran about equally fast on 12- to 22-qubit states (numpy 2.4,
 # OpenBLAS 0.3.31, 2 CPUs).  From 2^14 OpenBLAS ran the 4x4 products on two
 # threads, no faster, and the idle worker kept spinning afterwards, slowing
-# the single-threaded work that followed.
+# the single-threaded work that followed.  Kernels of 3 and 4 qubits gather
+# ``WIDE_CHUNK``: on random qubit sets of 18- to 22-qubit states, one
+# thread, 2^14 ran 3-7% faster than 2^13 and 1-19% faster than 2^15.
 CHUNK = 1 << 13
+WIDE_CHUNK = 1 << 14
+
+# ``fuse`` groups gates into kernels of up to ``WIDTH`` qubits on states of
+# at least ``WIDE_MIN`` qubits.  Below it the grouping pass and the wider
+# matmul cost more than the passes they save.  On random layered circuits
+# (4 layers of u on every qubit and cx on a random pairing, 1000 shots, one
+# thread, three seeds) the widened run took 1.2-1.7x the folded one's time
+# at 6-14 qubits, 0.91-0.97x at 15, 0.81-0.89x at 16 and 0.69-0.92x at
+# 17-20 (``BENCH_22.json``).
+# The threshold sits one qubit past that crossover, where the gain is
+# clear of the host's spread.
+WIDTH = 4
+WIDE_MIN = 16
 
 
 class FusedGate(NamedTuple):
     """A product of consecutive gates on ``qubits``, built by ``fuse``.
 
-    Two-qubit matrices follow ``polysim.gates``: the first qubit is the low
-    bit of the local index.
+    Matrices follow ``polysim.gates``: ``qubits[i]`` is bit i of the local
+    index, so the first qubit is the low bit.
     """
 
     qubits: tuple[int, ...]
@@ -47,19 +71,28 @@ class FusedGate(NamedTuple):
     kind: str = "fused"
 
 
-def fuse(instructions) -> list:
-    """Fold every one-qubit gate into the next two-qubit gate on its qubit.
+def fuse(instructions, n_qubits: int = 0) -> list:
+    """The kernels ``run`` applies: one-qubit gates folded into two-qubit
+    gates and, on states of ``WIDE_MIN`` qubits or more, grouped into
+    kernels of up to ``WIDTH`` qubits.
 
-    A pending 2x2 per qubit collects the one-qubit gates since the qubit's
-    last two-qubit gate, later gates multiplied on the left.  A two-qubit
-    gate on ``(a, b)`` absorbs both pending matrices as ``G . kron(P_b, P_a)``,
-    since its first qubit is the low bit.  A measure or reset flushes its
-    qubit's pending matrix just before it, and the end flushes the rest.  A
-    gate that absorbs nothing passes through unchanged; barriers are dropped.
-    The result keeps each op's ``kind`` and ``qubits``, so the shot engine
-    splits on it exactly as on the original instructions.  The 2x2 products
-    are Python arithmetic on row-major tuples: at a few microseconds per gate
-    the pass stays cheap beside the kernels of even a small circuit.
+    Folding.  A pending 2x2 per qubit collects the one-qubit gates since the
+    qubit's last two-qubit gate, later gates multiplied on the left.  A
+    two-qubit gate on ``(a, b)`` absorbs both pending matrices as
+    ``G . kron(P_b, P_a)``, since its first qubit is the low bit.  A measure
+    or reset flushes its qubit's pending matrix just before it, and the end
+    flushes the rest.  A gate that absorbs nothing passes through unchanged;
+    barriers are dropped.  The 2x2 products are Python arithmetic on
+    row-major tuples: at a few microseconds per gate the pass stays cheap
+    beside the kernels of even a small circuit.
+
+    Grouping (``_widen``) runs only when ``n_qubits >= WIDE_MIN`` and the
+    shot engine walks the circuit once: no reset, and no gate after a
+    measurement on that measurement's qubit.  Then no op splits, so the
+    engine's split, known-value and schedule rules never see a wide kernel.
+    Otherwise the folded stream is returned as it is, so it keeps each op's
+    ``kind`` and ``qubits`` and the engine splits on it exactly as on the
+    original instructions.  Measurements keep their order either way.
     """
     out: list = []
     pending: dict[int, tuple] = {}  # qubit -> (row-major 2x2, its lone Instruction or None)
@@ -91,7 +124,98 @@ def fuse(instructions) -> list:
             out.append(inst)
     for q in list(pending):
         flush(q)
+    return _widen(out) if n_qubits >= WIDE_MIN and _walks_once(out) else out
+
+
+def _walks_once(ops) -> bool:
+    """No reset, and no gate after a measurement on that measurement's qubit."""
+    measured: set[int] = set()
+    for op in ops:
+        if op.kind == "reset":
+            return False
+        if op.kind == "measure":
+            measured.add(op.qubits[0])
+        elif not measured.isdisjoint(op.qubits):
+            return False
+    return True
+
+
+def _widen(ops: list) -> list:
+    """Group consecutive gates of a folded stream into kernels of up to ``WIDTH`` qubits.
+
+    In the style of qsim's greedy fusion (Isakov et al., arXiv:2111.02396):
+    the open kernel takes each next gate while the union of qubits stays
+    within ``WIDTH`` (two disjoint pairs fit), and closes when one does not
+    fit or a measurement reads one of its qubits.  A one-qubit op that does
+    not fit, or that meets no open kernel, instead folds into the last
+    kernel on its qubit, which no op has touched since; a qubit with no
+    kernel yet opens one.  A closed kernel of
+    several gates becomes one ``FusedGate`` whose qubits are listed in the
+    order they joined, the first the low bit.  When the product is a
+    generalized permutation (no more nonzeros than rows) its gates stay
+    apart, since each then touches every amplitude once, while a wide dense
+    matmul would not pay.  Measurements pass in place and in order.
+    """
+    out: list = []
+    last: dict[int, int] = {}  # qubit -> position in ``out`` of the last gate on it
+    kernel: list = []  # the open kernel's gates, in order
+    qubits: list[int] = []  # their qubits, in the order they joined
+
+    def close() -> None:
+        if len(kernel) > 1:
+            m = np.eye(1 << len(qubits), dtype=complex)
+            for op in kernel:
+                m = _embed(_matrix(op), [qubits.index(q) for q in op.qubits], len(qubits)) @ m
+            if np.count_nonzero(m) > len(m):
+                kernel[:] = [FusedGate(tuple(qubits), m)]
+        for op in kernel:
+            for q in op.qubits:
+                last[q] = len(out)
+            out.append(op)
+        kernel.clear()
+        qubits.clear()
+
+    for op in ops:
+        if op.kind == "measure":
+            q = op.qubits[0]
+            if q in qubits:
+                close()
+            last.pop(q, None)
+            out.append(op)
+            continue
+        new = [q for q in op.qubits if q not in qubits]
+        trailing = len(op.qubits) == 1 and op.qubits[0] in last
+        if len(qubits) + len(new) <= WIDTH and (kernel or not trailing):
+            kernel.append(op)
+            qubits += new
+        elif trailing:
+            j = last[op.qubits[0]]
+            host = out[j]
+            fold = _embed(_matrix(op), [host.qubits.index(op.qubits[0])], len(host.qubits))
+            out[j] = FusedGate(host.qubits, fold @ _matrix(host))
+        else:
+            close()
+            kernel.append(op)
+            qubits += op.qubits
+    close()
     return out
+
+
+def _matrix(op) -> np.ndarray:
+    """The matrix of an ``Instruction`` gate or a ``FusedGate``."""
+    if op.kind == "fused":
+        return op.matrix
+    if op.kind in ONE_QUBIT_GATES:
+        return gates.single_qubit_matrix(op.kind, op.params)
+    return gates.two_qubit_matrix(op.kind)
+
+
+def _embed(g: np.ndarray, pos: list[int], k: int) -> np.ndarray:
+    """``g`` on the local qubits ``pos`` (``pos[0]`` its low bit) of a ``k``-qubit kernel."""
+    idx = np.arange(1 << k)
+    sub = sum(((idx >> p) & 1) << i for i, p in enumerate(pos))
+    rest = idx & ~sum(1 << p for p in pos)
+    return np.where(rest[:, None] == rest[None, :], g[sub[:, None], sub[None, :]], 0)
 
 
 _IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
@@ -127,34 +251,53 @@ def _kron_2x2(hi: tuple, lo: tuple) -> tuple:
     )
 
 
-def _apply_dense(arr: np.ndarray, m: np.ndarray, order: tuple[int, ...]) -> None:
-    """Apply ``m`` in place to the 5-axis view ``arr = (A, 2, B, 2, C)``.
+@functools.lru_cache(maxsize=1024)
+def _dense_layout(n: int, qubits: tuple[int, ...]) -> tuple:
+    """How ``_apply_dense`` cuts an n-qubit state for a kernel on ``qubits``.
 
-    Axes 1 and 3 hold the gate's qubits (axis 3 has length 1 for a one-qubit
-    gate); ``order`` moves them to the front so that a block's transpose
-    flattens to the gate's local index.  Blocks of at most ``CHUNK``
-    amplitudes are gathered into one buffer, multiplied by one matmul and
-    scattered back, so no temporary grows with the state.
+    The state is viewed as 2k+1 axes, ``(R_0, 2, R_1, ..., 2, R_k)``: the k
+    gate qubits from the highest down, and the runs of other qubits around
+    them.  A block holds at most ``CHUNK`` amplitudes (``WIDE_CHUNK`` for
+    k > 2): whole inner runs, a slice of one run and single steps outside
+    it.  Returns the view's shape, the transpose that puts the gate axes
+    first in local-index order, the shape of a block so transposed, and
+    per axis the slices that cut it into blocks.  Kept per (n, qubits), so
+    a kernel on a small state pays no set-up beside its matmul.
     """
-    k = len(m)
-    a_len, _, b_len, _, c_len = arr.shape
-    span = CHUNK // k  # positions per block
-    if c_len >= span:
-        ra, rb, rc = 1, 1, span
-    elif b_len * c_len >= span:
-        ra, rb, rc = 1, span // c_len, c_len
-    else:
-        ra, rb, rc = min(a_len, span // (b_len * c_len)), b_len, c_len
-    buf = np.empty((arr.shape[order[0]], arr.shape[order[1]], ra, rb, rc), dtype=complex)
+    k = len(qubits)
+    high = sorted(qubits, reverse=True)
+    shape, top = [], n
+    for q in high:
+        shape += [1 << (top - q - 1), 2]
+        top = q
+    shape.append(1 << top)
+    order = tuple(2 * high.index(q) + 1 for q in reversed(qubits)) + tuple(range(0, 2 * k + 1, 2))
+    block, axes = list(shape), [(slice(None),)] * (2 * k + 1)
+    room = (CHUNK if k <= 2 else WIDE_CHUNK) >> k  # positions per block
+    for i in range(2 * k, -1, -2):  # every length is a power of two, so blocks tile exactly
+        block[i] = min(shape[i], room)
+        room //= block[i]
+        axes[i] = tuple(slice(a, a + block[i]) for a in range(0, shape[i], block[i]))
+    return tuple(shape), order, tuple(block[j] for j in order), tuple(axes)
+
+
+def _apply_dense(amps: np.ndarray, n: int, qubits: tuple[int, ...], m: np.ndarray) -> None:
+    """Apply the dense ``m`` in place on ``qubits``, the first the low bit of its index.
+
+    Each block of ``_dense_layout`` is gathered with the gate axes in front,
+    so it flattens to the gate's local index, then multiplied by one matmul
+    and scattered back: no temporary grows with the state.
+    """
+    shape, order, block, axes = _dense_layout(n, qubits)
+    arr = amps.reshape(shape)
+    buf = np.empty(block, dtype=complex)
     out = np.empty_like(buf)
-    flat_buf, flat_out = buf.reshape(k, -1), out.reshape(k, -1)
-    for a in range(0, a_len, ra):
-        for b in range(0, b_len, rb):
-            for c in range(0, c_len, rc):
-                local = arr[a:a + ra, :, b:b + rb, :, c:c + rc].transpose(order)
-                buf[...] = local
-                m.dot(flat_buf, out=flat_out)
-                local[...] = out
+    flat_buf, flat_out = buf.reshape(len(m), -1), out.reshape(len(m), -1)
+    for index in itertools.product(*axes):
+        local = arr[index].transpose(order)
+        buf[...] = local
+        m.dot(flat_buf, out=flat_out)
+        local[...] = out
 
 
 def apply_1q(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
@@ -174,7 +317,7 @@ def apply_1q(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
         if m[1, 0] != 1:
             arr[:, 1, :] *= m[1, 0]
         return
-    _apply_dense(arr.reshape(-1, 2, 1, 1, 1 << q), m, (1, 3, 0, 2, 4))
+    _apply_dense(amps, n, (q,), m)
 
 
 def apply_2q(amps: np.ndarray, n: int, qa: int, qb: int, m: np.ndarray) -> None:
@@ -182,7 +325,7 @@ def apply_2q(amps: np.ndarray, n: int, qa: int, qb: int, m: np.ndarray) -> None:
     arr = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     rows, sources = np.nonzero(m)
     if len(rows) != 4:
-        _apply_dense(arr, m, (1, 3, 0, 2, 4) if qa < qb else (3, 1, 0, 2, 4))
+        _apply_dense(amps, n, (qa, qb), m)
         return
 
     def view(i: int):
@@ -226,17 +369,14 @@ def apply_2q(amps: np.ndarray, n: int, qa: int, qb: int, m: np.ndarray) -> None:
 
 def apply_instruction(amps: np.ndarray, n: int, inst) -> None:
     """Apply one gate in place: an ``Instruction`` or a ``FusedGate`` from ``fuse``."""
-    kind = inst.kind
-    if kind == "fused":
-        m = inst.matrix
-    elif kind in ONE_QUBIT_GATES:
-        m = gates.single_qubit_matrix(kind, inst.params)
-    else:
-        m = gates.two_qubit_matrix(kind)
-    if len(inst.qubits) == 1:
-        apply_1q(amps, n, inst.qubits[0], m)
-    else:
-        apply_2q(amps, n, inst.qubits[0], inst.qubits[1], m)
+    m = _matrix(inst)
+    qubits = inst.qubits
+    if len(qubits) == 1:
+        apply_1q(amps, n, qubits[0], m)
+    elif len(qubits) == 2:
+        apply_2q(amps, n, qubits[0], qubits[1], m)
+    else:  # a wide kernel from ``fuse``, always dense
+        _apply_dense(amps, n, qubits, m)
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -245,10 +385,28 @@ def zero_state(n: int) -> np.ndarray:
     return amps
 
 
-def marginal_probs(amps: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Joint probabilities of the given (ascending) qubits, little-endian."""
-    probs = np.abs(amps)
-    np.square(probs, out=probs)  # in place: one full-size temporary, not two
+def marginal_probs(
+    amps: np.ndarray, n: int, qubits: tuple[int, ...], consume: bool = False
+) -> np.ndarray:
+    """Joint probabilities of the given (ascending) qubits, little-endian.
+
+    With ``consume`` the squared magnitudes are written ``CHUNK`` at a time
+    over the front half of ``amps``' own memory, where no chunk overwrites
+    amplitudes still to be read, so no array of the state's size is
+    allocated and ``amps`` is left meaningless.  The values are those of the
+    out-of-place path, bit for bit: each chunk's magnitudes are taken into a
+    buffer first, since ``np.abs`` writing over its own input ran another
+    loop that rounded differently.
+    """
+    if consume:
+        probs = amps.view(np.float64)[:len(amps)]
+        for start in range(0, len(amps), CHUNK):
+            chunk = np.abs(amps[start:start + CHUNK])
+            np.square(chunk, out=chunk)
+            probs[start:start + CHUNK] = chunk
+    else:
+        probs = np.abs(amps)
+        np.square(probs, out=probs)  # in place: one full-size temporary, not two
     probs = probs.reshape([2] * n)
     drop = tuple(n - 1 - q for q in range(n) if q not in set(qubits))
     if drop:
@@ -296,16 +454,18 @@ class SvState:
         project(self.amps, q, bit)
 
     def sample(self, qubits, count: int, rng: np.random.Generator) -> dict[str, int]:
+        """The engine's draw; it is the last call on a state, so it consumes ``amps``."""
         group = tuple(sorted(set(qubits)))
-        probs = marginal_probs(self.amps, self.n, group)
+        probs = marginal_probs(self.amps, self.n, group, consume=True)
         return sample_measurement_groups([(group, probs)], qubits, count, rng)
 
 
 def run(c: Circuit, shots: int, seed: int) -> RunResult:
     """Execute a circuit and return sampled measurement counts.
 
-    The circuit is fused first (``fuse``), so each kernel applies a gate
-    together with the one-qubit gates folded into it.  The shot engine
+    The circuit is fused first (``fuse`` at its qubit count), so each kernel
+    applies a gate together with the one-qubit gates folded into it, or
+    from ``WIDE_MIN`` qubits a group of such gates.  The shot engine
     (``polysim.engine``) walks one dense state over the fused ops and copies
     it only where a mid-circuit measurement or reset splits the shots, so a
     run costs one pass per distinct measurement history.  Terminal
@@ -318,7 +478,7 @@ def run(c: Circuit, shots: int, seed: int) -> RunResult:
     paths = []
     counts = run_shots(
         SvState(zero_state(c.n_qubits), c.n_qubits),
-        fuse(c.instructions),
+        fuse(c.instructions, c.n_qubits),
         shots,
         np.random.default_rng(seed),
         on_leaf=lambda state: paths.append(1),

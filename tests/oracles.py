@@ -7,6 +7,8 @@ independent einsum simulator; these work on the package's own states.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from polysim import statevector
@@ -267,3 +269,20 @@ def reconstructed_probs(table: AliasTable) -> np.ndarray:
     rec = table.prob.copy()
     np.add.at(rec, table.alias, 1.0 - table.prob)
     return rec / table.size
+
+
+def sample_groups_unsorted(groups, order, shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """The terminal draw of ``result.sample_measurement_groups`` read plainly.
+
+    Each group takes one out-of-place cumulative sum and one unsorted
+    search of its shots' uniforms, drawn in group order, and keys are built
+    per shot; the probabilities are left as they are.
+    """
+    bits = {}
+    for qubits, probs in groups:
+        cdf = np.cumsum(probs)
+        idx = np.minimum(np.searchsorted(cdf, rng.random(shots) * cdf[-1], side="right"), len(probs) - 1)
+        for j, q in enumerate(qubits):
+            bits[q] = (idx >> j) & 1
+    rows = np.stack([bits[q] for q in order], axis=1)
+    return dict(Counter("".join(map(str, row)) for row in rows.tolist()))

@@ -6,7 +6,7 @@ from conftest import ghz
 from test_predictor import make_model
 from oracles import is_clifford
 
-from polysim import batch, cli
+from polysim import batch, cli, statevector
 from polysim.batch import load_directory, run_batch
 from polysim.calibration import MODEL_VERSION, CalibrationConfig, CalibrationModel, calibrate
 from polysim.circuit import Circuit
@@ -86,6 +86,14 @@ def test_sv_threshold_policy_splits_on_qubit_count():
     assert by_name["ghz_4"].backend == "sv"
     assert by_name["ghz_28"].backend == "mps"  # above statevector.QUBIT_CAP
     assert by_name["ghz_32"].backend == "mps"
+    assert all(r.error is None for r in report.records)
+
+
+def test_sv_threshold_policy_follows_the_fit_rule(monkeypatch):
+    # the policy asks the predictor's fit rule, so it moves with the sv cap
+    monkeypatch.setattr(statevector, "QUBIT_CAP", 4)
+    report = run_batch([ghz_circuit(4), ghz_circuit(5)], "fixed-sv-threshold", shots=50, seed=1)
+    assert [r.backend for r in report.records] == ["sv", "mps"]
     assert all(r.error is None for r in report.records)
 
 

@@ -590,10 +590,13 @@ def test_priced_seconds_of_one_op_are_the_timed_seconds(monkeypatch):
     # With a constant timer, one sv 2q or mps 2q op costs the timed seconds
     # and one stab gate the timed seconds over the 3n gates of the run the
     # stab timer applies, so calibrate's units and estimate's must agree.
+    # From statevector.WIDE_MIN on, the sv timer applies one 4-qubit kernel
+    # that stands for two 2q gates, so one costs half the timed seconds.
     timed = 3.7e-5
+    wide = statevector.WIDE_MIN
     monkeypatch.setattr(calibration, "_median_seconds", lambda fn, reps, floor: timed)
     cfg = CalibrationConfig(
-        sv_grid=(4, 6),
+        sv_grid=(4, 6, wide),
         mps_grid_n=(4, 6),
         mps_grid_chi=(2, 4),
         stab_grid=(4, 6),
@@ -601,12 +604,16 @@ def test_priced_seconds_of_one_op_are_the_timed_seconds(monkeypatch):
         repetitions=1,
     )
     model = calibrate(cfg, seed=0)
-    grid_points = (("sv", "2q", 6, 1), ("mps", "2q", 6, 4), ("stab", "gate", 4, 1))
+    grid_points = (
+        ("sv", "2q", 6, 1), ("sv", "2q", wide, 1), ("mps", "2q", 6, 4), ("stab", "gate", 4, 1),
+    )
     for backend, klass, n, chi in grid_points:
         one = Circuit(n)
         one.gate("cx", 0, 1)
         empty = Circuit(n)
         per_op = timed / (3 * n) if backend == "stab" else timed
+        if backend == "sv" and n >= wide:
+            per_op = timed / 2
         op = estimate(one, backend, model, 0, chi=chi) - estimate(empty, backend, model, 0, chi=chi)
         assert op == pytest.approx(per_op, rel=1e-9), backend
         priced = dict(zip(calibration.PRICED[backend], model.seconds(backend, n, chi)))

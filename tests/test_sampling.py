@@ -8,7 +8,7 @@ import pytest
 from polysim import result
 from polysim.sampling import AliasTable, SamplingError
 from conftest import chisquare_pvalue
-from oracles import reconstructed_probs
+from oracles import reconstructed_probs, sample_groups_unsorted
 
 
 def random_distribution(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -126,10 +126,30 @@ def test_group_draws_follow_law_without_an_alias_table(monkeypatch, shots):
 
     monkeypatch.setattr(AliasTable, "from_probs", forbidden)
     probs = random_distribution(rng, 16)
-    counts = result.sample_measurement_groups([((0, 1, 2, 3), probs)], [3, 2, 1, 0], shots, rng)
+    counts = result.sample_measurement_groups([((0, 1, 2, 3), probs.copy())], [3, 2, 1, 0], shots, rng)
     expected = {format(i, "04b"): float(p) for i, p in enumerate(probs)}
     assert sum(counts.values()) == shots
     assert chisquare_pvalue(counts, expected, shots) > 1e-3
+
+
+@pytest.mark.parametrize("sizes, order", [
+    ((10,), [9, 3, 0, 1, 2, 4, 5, 6, 7, 8]),
+    ((3, 1, 10, 12, 10, 10, 11, 10), [1, 0, 3, 3, 66, 40, 17, 2, 36, 4]),  # 67 qubits: two words
+])
+def test_group_draws_equal_the_out_of_place_unsorted_draw(sizes, order):
+    # The in-place sum and the sorted search (groups of 10 or more qubits at
+    # 5000 shots) leave every shot's index, and so its pairing across groups, as it was
+    rng = np.random.default_rng(len(order))
+    groups, start = [], 0
+    for size in sizes:
+        qubits = tuple(range(start, start + size))
+        probs = rng.random(1 << size) ** 3
+        probs[rng.random(1 << size) < 0.3] = 0.0  # zero bins too
+        groups.append((qubits, probs / probs.sum()))
+        start += size
+    expected = sample_groups_unsorted(groups, order, 5000, np.random.default_rng(3))
+    fresh = [(qubits, probs.copy()) for qubits, probs in groups]
+    assert result.sample_measurement_groups(fresh, order, 5000, np.random.default_rng(3)) == expected
 
 
 def test_inverse_cdf_never_draws_a_zero_bin(rng):

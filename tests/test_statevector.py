@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from polysim import statevector as sv
 from polysim.circuit import Circuit, Instruction, inverse_circuit
 from polysim.engine import run_shots
-from polysim.result import NoMeasurementsError, QubitCapError
+from polysim.result import NoMeasurementsError, QubitCapError, sample_measurement_groups
 from conftest import (
     chisquare_pvalue,
     ghz,
@@ -286,17 +287,42 @@ def collapse_walk(ops, n: int, seed: int) -> np.ndarray:
 
 
 def test_marginal_probs_are_bitwise_the_squared_magnitudes(rng):
-    # pblock draws from the same marginals, so even the last bit must not move
-    for n in (1, 4, 11):
+    # pblock draws from the same marginals, so even the last bit must not move;
+    # nor may it when sv writes them over its state (n = 14 spans two chunks)
+    for n in (1, 4, 11, 14):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amps /= np.linalg.norm(amps)
         full = np.abs(amps.reshape([2] * n)) ** 2
-        for qubits in (tuple(range(n)), (0,), (n - 1,), tuple(range(0, n, 2))):
+        for qubits, consume in itertools.product(
+            (tuple(range(n)), (0,), (n - 1,), tuple(range(0, n, 2))), (False, True)
+        ):
             drop = tuple(n - 1 - q for q in range(n) if q not in qubits)
             expected = (full.sum(axis=drop) if drop else full).reshape(-1)
-            got = sv.marginal_probs(amps, n, qubits)
+            got = sv.marginal_probs(amps.copy(), n, qubits, consume=consume)
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
+
+
+def test_terminal_draw_allocates_no_array_of_the_state_size(rng):
+    n = 16
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps /= np.linalg.norm(amps)
+    # every qubit, as measure_all draws them: the marginal and its cumulative
+    # sum would each be amps.nbytes // 2 out of place
+    for qubits in ([3, 0, 15, 7], [3, 0, 15, 7] + [q for q in range(n) if q not in (0, 3, 7, 15)]):
+        group = tuple(sorted(qubits))
+        expected = sample_measurement_groups(
+            [(group, sv.marginal_probs(amps, n, group))], qubits, 300, np.random.default_rng(2),
+        )
+        state = sv.SvState(amps.copy(), n)
+        tracemalloc.start()
+        try:
+            counts = state.sample(qubits, 300, np.random.default_rng(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == expected
+        assert peak < amps.nbytes // 4
 
 
 def test_fused_stream_matches_per_gate_application(rng):
@@ -369,3 +395,113 @@ def test_final_state_matches_oracle(rng):
     np.testing.assert_allclose(
         final_state(c), oracle_statevector_of_measured(c), atol=1e-10
     )
+
+
+def test_wide_kernels_match_reference_past_one_chunk(rng):
+    n = 15
+    assert 1 << n > sv.WIDE_CHUNK
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    for k in (3, 4):
+        for _ in range(8):
+            qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+            m = random_unitary(rng, 1 << k)
+            expected = local_reference(amps, qubits, m)
+            sv.apply_instruction(amps, n, sv.FusedGate(qubits, m))
+            np.testing.assert_allclose(amps, expected, atol=1e-10)
+
+
+def kernels(ops) -> list:
+    return [op for op in ops if op.kind != "measure"]
+
+
+def measurements(ops) -> list:
+    return [(op.qubits, op.clbit) for op in ops if op.kind == "measure"]
+
+
+def test_wide_stream_matches_per_gate_application(rng):
+    for n in range(sv.WIDE_MIN, sv.WIDE_MIN + 3):
+        c = random_circuit(n, 4 * n, rng)
+        wide = sv.fuse(c.instructions, n)
+        assert max(len(op.qubits) for op in kernels(wide)) > 2
+        assert len(kernels(wide)) < len(kernels(sv.fuse(c.instructions)))
+        assert measurements(wide) == measurements(c.instructions)
+        amps = sv.zero_state(n)
+        for op in kernels(wide):
+            sv.apply_instruction(amps, n, op)
+        np.testing.assert_allclose(amps, unitary_state(c), atol=1e-12)
+
+
+def test_wide_kernels_take_two_pairs_and_fold_trailing_gates(rng):
+    n = sv.WIDE_MIN
+    c = Circuit(n, n)
+    for q in range(n):
+        c.gate("u", q, params=tuple(rng.uniform(0, 2 * math.pi, size=3)))
+    for q in range(0, n, 2):
+        c.gate("cx", q, q + 1)
+    c.gate("t", 0).gate("ry", n - 1, params=(0.3,))  # trailing: into the first and last kernels
+    c.measure_all()
+    wide = sv.fuse(c.instructions, n)
+    assert [len(op.qubits) for op in kernels(wide)] == [4] * (n // 4)
+    assert measurements(wide) == measurements(c.instructions)
+    amps = sv.zero_state(n)
+    for op in kernels(wide):
+        sv.apply_instruction(amps, n, op)
+    np.testing.assert_allclose(amps, unitary_state(c), atol=1e-12)
+
+
+def test_wide_grouping_keeps_permutation_products_apart():
+    # h folds into the first cx, so (0..3) is dense; the cx runs after it multiply
+    # to permutations, which touch each amplitude once as they are
+    n = sv.WIDE_MIN
+    c = ghz(n)
+    wide = kernels(sv.fuse(c.instructions, n))
+    assert wide[0].qubits == (0, 1, 2, 3)
+    assert [(op.kind, op.qubits) for op in wide[1:]] == [("cx", (q, q + 1)) for q in range(3, n - 1)]
+    amps = sv.zero_state(n)
+    for op in wide:
+        sv.apply_instruction(amps, n, op)
+    np.testing.assert_allclose(amps, unitary_state(c), atol=1e-12)
+
+
+def layered_prefix(n: int, rng) -> Circuit:
+    """Two layers of u on every qubit and cx on disjoint pairs: a stream that would widen."""
+    c = Circuit(n, n)
+    for shift in (0, 1):
+        for q in range(n):
+            c.gate("u", q, params=tuple(rng.uniform(0, 2 * math.pi, size=3)))
+        for q in range(shift, n - 1, 2):
+            c.gate("cx", q, q + 1)
+    return c
+
+
+def with_reset(c: Circuit) -> None:
+    c.append(Instruction("reset", (2,)))
+    c.gate("h", 2).gate("cx", 2, 5)
+
+
+def with_correction(c: Circuit) -> None:
+    c.measure(3, 3)
+    c.gate("cx", 3, 4).gate("cz", 3, 6)  # feed-forward: the measured qubit as a control
+
+
+def with_all(c: Circuit) -> None:
+    c.measure(0, 0)
+    with_reset(c)
+    with_correction(c)
+    c.measure(1, 0)  # rewrites clbit 0
+
+
+@pytest.mark.parametrize("tail", [with_reset, with_correction, with_all], ids=lambda f: f.__name__)
+def test_circuits_that_split_keep_their_stream_paths_and_counts(monkeypatch, rng, tail):
+    n = sv.WIDE_MIN
+    c = layered_prefix(n, rng)
+    tail(c)
+    c.measure_all()
+    wide, folded = sv.fuse(c.instructions, n), sv.fuse(c.instructions)
+    assert [(op.kind, op.qubits) for op in wide] == [(op.kind, op.qubits) for op in folded]
+    assert all(a is b or a.matrix.tobytes() == b.matrix.tobytes() for a, b in zip(wide, folded))
+    result = sv.run(c, 300, seed=4)
+    monkeypatch.setattr(sv, "WIDE_MIN", sv.QUBIT_CAP + 1)
+    unwidened = sv.run(c, 300, seed=4)
+    assert result.metadata["paths"] == unwidened.metadata["paths"]
+    assert result.counts == unwidened.counts
