@@ -50,11 +50,10 @@ WIDE_CHUNK = 1 << 14
 # at least ``WIDE_MIN`` qubits.  Below it the grouping pass and the wider
 # matmul cost more than the passes they save.  On random layered circuits
 # (4 layers of u on every qubit and cx on a random pairing, 1000 shots, one
-# thread, three seeds) the widened run took 1.2-1.7x the folded one's time
-# at 6-14 qubits, 0.91-0.97x at 15, 0.81-0.89x at 16 and 0.69-0.92x at
-# 17-20 (``BENCH_22.json``).
-# The threshold sits one qubit past that crossover, where the gain is
-# clear of the host's spread.
+# thread, three seeds) the widened run took 1.0-1.7x the folded one's time
+# at 6-14 qubits, 0.93-0.97x at 15, 0.82-0.91x at 16 and 0.80-0.91x at
+# 17-20 (``BENCH_22.json``).  The threshold sits one qubit past that
+# crossover, where the gain is clear of the host's spread.
 WIDTH = 4
 WIDE_MIN = 16
 
@@ -146,20 +145,24 @@ def _widen(ops: list) -> list:
     In the style of qsim's greedy fusion (Isakov et al., arXiv:2111.02396):
     the open kernel takes each next gate while the union of qubits stays
     within ``WIDTH`` (two disjoint pairs fit), and closes when one does not
-    fit or a measurement reads one of its qubits.  A one-qubit op that does
-    not fit, or that meets no open kernel, instead folds into the last
-    kernel on its qubit, which no op has touched since; a qubit with no
-    kernel yet opens one.  A closed kernel of
+    fit.  A one-qubit op that does not fit, or that meets no open kernel,
+    instead folds into the last kernel on its qubit, which no op has touched
+    since; a qubit with no kernel yet opens one.  A closed kernel of
     several gates becomes one ``FusedGate`` whose qubits are listed in the
     order they joined, the first the low bit.  When the product is a
     generalized permutation (no more nonzeros than rows) its gates stay
     apart, since each then touches every amplitude once, while a wide dense
-    matmul would not pay.  Measurements pass in place and in order.
+    matmul would not pay.  Measurements that arrive while a kernel is open
+    are held, in order, until just after it closes: ``fuse`` widens only
+    streams where no gate follows a measurement on its qubit, so a
+    measurement needs only the gates before it, and the kernel can still
+    take gates on other qubits.
     """
     out: list = []
     last: dict[int, int] = {}  # qubit -> position in ``out`` of the last gate on it
     kernel: list = []  # the open kernel's gates, in order
     qubits: list[int] = []  # their qubits, in the order they joined
+    held: list = []  # measurements that arrived while the kernel was open
 
     def close() -> None:
         if len(kernel) > 1:
@@ -172,16 +175,15 @@ def _widen(ops: list) -> list:
             for q in op.qubits:
                 last[q] = len(out)
             out.append(op)
+        out.extend(held)
         kernel.clear()
         qubits.clear()
+        held.clear()
 
     for op in ops:
         if op.kind == "measure":
-            q = op.qubits[0]
-            if q in qubits:
-                close()
-            last.pop(q, None)
-            out.append(op)
+            last.pop(op.qubits[0], None)
+            (held if kernel else out).append(op)
             continue
         new = [q for q in op.qubits if q not in qubits]
         trailing = len(op.qubits) == 1 and op.qubits[0] in last

@@ -449,6 +449,30 @@ def test_wide_kernels_take_two_pairs_and_fold_trailing_gates(rng):
     np.testing.assert_allclose(amps, unitary_state(c), atol=1e-12)
 
 
+def test_measurements_wait_for_the_open_kernel(rng):
+    # measure_all reads 12 and 13 while their pair's kernel is open; held until
+    # it closes, they let the lone runs on 14 and 15 join it
+    n = sv.WIDE_MIN
+    c = Circuit(n, n)
+    for q in range(n):
+        c.gate("u", q, params=tuple(rng.uniform(0, 2 * math.pi, size=3)))
+    for q in range(0, n - 2, 2):
+        c.gate("cx", q, q + 1)
+    c.measure_all()
+    wide = sv.fuse(c.instructions, n)
+    assert [op.qubits for op in kernels(wide)][-1] == (12, 13, 14, 15)
+    assert [len(op.qubits) for op in kernels(wide)] == [4] * (n // 4)
+    assert measurements(wide) == measurements(c.instructions)
+    for k, op in enumerate(wide):  # no gate after a measurement on its qubit, so nothing splits
+        if op.kind == "measure":
+            assert all(op.qubits[0] not in later.qubits for later in kernels(wide[k:]))
+    amps = sv.zero_state(n)
+    for op in kernels(wide):
+        sv.apply_instruction(amps, n, op)
+    np.testing.assert_allclose(amps, unitary_state(c), atol=1e-12)
+    assert sv.run(c, 100, seed=1).metadata["paths"] == 1
+
+
 def test_wide_grouping_keeps_permutation_products_apart():
     # h folds into the first cx, so (0..3) is dense; the cx runs after it multiply
     # to permutations, which touch each amplitude once as they are
