@@ -21,25 +21,34 @@ later gate, measurement or reset touches changes no clbit and is dropped
 first (a dead reset), which may let the measurements before it defer.
 Every other reset splits.  Two rules decide which measurements split:
 
-* The base rule, for every state: a measurement splits when a later gate or
-  reset touches its qubit at all.
-* The diagonal rule, for states that opt in through
-  ``defers_through_diagonals``: a measurement splits only when a later op on
-  its qubit fails to commute with Z there.  Later measurements commute, and
-  so does a gate whose matrix is block-diagonal in the qubit's bit: a
+* The base rule: a measurement splits when a later gate or reset touches
+  its qubit at all.
+* The diagonal rule: a measurement splits only when a later op on its
+  qubit fails to commute with Z there.  Later measurements commute, and so
+  does a gate whose matrix is block-diagonal in the qubit's bit: a
   Z-diagonal one-qubit gate, the control of ``cx``, either qubit of ``cz``,
   or a fused product of such factors.  Zeros are tested exactly, so a fused
   product that is diagonal only up to rounding still splits.  Feed-forward
   corrections (a measured qubit used afterwards only as a control) then walk
-  once.  The diagonal rule runs only when the base rule finds a split, so a
-  terminal-only circuit pays nothing for it.
+  once.
 
-Only a state whose cost does not grow with entanglement should opt in.  A
-deferred qubit stays entangled with the rest until the end of the path, so
-on an MPS it keeps its bond dimension (and truncation) and in a block state
-it keeps its block, where splitting would have factored it out.  The dense
-state vector costs the same either way and opts in; mps and pblock keep the
-base rule.
+The diagonal rule never splits more, but a deferred qubit stays entangled
+with the rest until the end of the path: on an MPS it keeps its bonds, and
+in a block state its block, where splitting would have factored it out.
+So the rule is chosen per circuit, and only when the base rule finds a
+split (a terminal-only circuit pays nothing for the choice).  When both
+rules split the same ops nothing is chosen.  A state whose ops cost the
+same under either rule (the dense state vector) has no ``price`` and takes
+the diagonal rule.  Otherwise ``price`` walks each rule's scheduled ops
+once, without amplitudes, keeping the components that the walk's state
+will be a product over and which qubits are known (below).  Each op costs
+its walk bound ``min(shots, 2**s)``, after ``s`` splits, times what the
+state's ``price`` gives for it: an overhead plus a width that grows with
+its component, a pblock block's amplitudes or an MPS bond's Schmidt-rank
+bound.  The diagonal rule is taken when it is cheaper and none of its
+widths passes the state's ``cap`` (``statevector.QUBIT_CAP`` qubits for a
+pblock block, ``chi_max`` for an MPS bond), so a deferred MPS run never
+truncates and a deferred block never passes the qubit cap.
 
 Known basis values.  A split leaves its qubit in a basis state on each
 walk: the measured bit, or 0 after a reset.  The walk keeps these values in
@@ -76,7 +85,10 @@ schedule.
 
 A backend hands the engine a state object with
 
-* ``defers_through_diagonals``: whether the diagonal rule applies (above);
+* ``price(inst, parts)``: the static ``(cost, width)`` of one run of an
+  op, given ``parts``, the components before it (``price`` below), or None
+  for a state whose ops cost the same under either split rule (above);
+* ``cap``, with a ``price``: the widest op a rule may have to be taken;
 * ``copy()``: an independent copy;
 * ``apply(inst)``: apply one gate, which may be a one-qubit op the engine
   put in place of a two-qubit gate with a known qubit (above); barriers
@@ -101,6 +113,8 @@ depend only on the circuit, the shot count and the seed.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import gates
@@ -122,17 +136,16 @@ def run_shots(
     if shots < 1:
         raise ValueError("shots must be positive")
     ops, splits = _split_rule([inst for inst in instructions if inst.kind != "barrier"], diagonal=False)
-    last_write = {inst.clbit: k for k, inst in enumerate(ops) if inst.kind == "measure"}
-    if not last_write:
+    if not any(inst.kind == "measure" for inst in ops):
         raise NoMeasurementsError("circuit has no measurements")
-    if True in splits and state.defers_through_diagonals:
-        ops, splits = _split_rule(ops, diagonal=True)  # drops nothing more: same positions
+    rules: dict[int, tuple] = {}  # id of an op -> its _rule, worked out on first use
+    if True in splits:
+        ops, splits = _plan(state, ops, splits, shots, rules)
+    # a schedule keeps each clbit's writes in order, so its last write is the same op
+    last_write = {inst.clbit: k for k, inst in enumerate(ops) if inst.kind == "measure"}
     clbits = sorted(last_write, reverse=True)  # key order, lowest clbit rightmost
     drawn_clbits = {cl for cl in clbits if not splits[last_write[cl]]}
     qubits = [ops[last_write[cl]].qubits[0] for cl in clbits if cl in drawn_clbits]
-    if True in splits:
-        ops, splits = schedule(ops, splits)
-    rules: dict[int, tuple] = {}  # op position -> its _rule, worked out on first use
 
     counts: dict[str, int] = {}
     stack = [(state, 0, shots, {}, {})]
@@ -145,9 +158,9 @@ def run_shots(
                 if inst.kind == "measure":
                     continue
                 if known and not known.keys().isdisjoint(inst.qubits):
-                    rule = rules.get(k - 1)
+                    rule = rules.get(id(inst))
                     if rule is None:
-                        rule = rules[k - 1] = _rule(inst)
+                        rule = rules[id(inst)] = _rule(inst)
                     inst = _reduce(inst, rule, known)
                     if inst is None:
                         continue
@@ -241,6 +254,126 @@ def schedule(ops: list, splits: list[bool]) -> tuple[list, list[bool]]:
         buckets[lev].append(k)
     order = [k for bucket in buckets for k in bucket]
     return [ops[k] for k in order], [splits[k] for k in order]
+
+
+def _plan(state, ops: list, splits: list[bool], shots: int, rules: dict) -> tuple[list, list[bool]]:
+    """The scheduled ops and split flags of the split rule the walk takes.
+
+    ``splits`` are the base rule's.  The diagonal rule is taken when the
+    state has no ``price``, or when its price is lower and none of its ops
+    passes the state's ``cap``.  Where both rules split the same ops,
+    neither is priced.
+    """
+    diagonal = _split_rule(ops, diagonal=True)[1]  # drops nothing more: same positions
+    if diagonal == splits:
+        return schedule(ops, splits)
+    deferred = schedule(ops, diagonal) if True in diagonal else (ops, diagonal)
+    if state.price is None:
+        return deferred
+    cost, widest = price(state, *deferred, shots, rules)
+    base = schedule(ops, splits)
+    if widest <= state.cap and cost < price(state, *base, shots, rules, limit=cost)[0]:
+        return deferred
+    return base
+
+
+def price(
+    state, ops: list, splits: list[bool], shots: int, rules: dict | None = None, limit: float = math.inf
+) -> tuple[float, int]:
+    """The static price of walking scheduled ops, and the widest op: ``(cost, width)``.
+
+    One forward pass keeps, without amplitudes, what the walk will see:
+    the components (qubits that have interacted since their last split;
+    a gate reduced on a known qubit joins nothing), which qubits are known,
+    and how many splits of an unknown qubit came before.  An op after ``s``
+    such splits runs on at most ``min(shots, 2**s)`` walks, and each run
+    costs what ``state.price`` gives for it.  Where a reduced gate's release
+    depends on the known bit, the pass releases for either bit, so its
+    widths never fall below the walk's.  Deferred measurements cost
+    nothing here, and neither do the copies and terminal draws, which grow
+    with the walks, so the estimate leans toward the base rule.  The pass
+    stops once the cost reaches ``limit``.
+    """
+    rules = {} if rules is None else rules
+    parts = _Parts()
+    known: set[int] = set()
+    walks = 1
+    cost, widest = 0.0, 0
+    for inst, split in zip(ops, splits):
+        if split:
+            q = inst.qubits[0]
+            if q in known:  # a recorded bit or an x: no draw, no projection
+                continue
+            walks = min(shots, 2 * walks)
+            op_cost, width = state.price(inst, parts)
+            parts.isolate(q)
+            known.add(q)
+        elif inst.kind == "measure":
+            continue
+        else:
+            if known and not known.isdisjoint(inst.qubits):
+                rule = rules.get(id(inst))
+                if rule is None:
+                    rule = rules[id(inst)] = _rule(inst)
+                inst = _reduce_static(inst, rule, known)
+                if inst is None:
+                    continue
+            op_cost, width = state.price(inst, parts)
+            if len(inst.qubits) == 2:
+                parts.join(*inst.qubits)
+        cost += walks * op_cost
+        widest = max(widest, width)
+        if cost >= limit:
+            break
+    return cost, widest
+
+
+class _Parts:
+    """The components of ``price``'s pass, each a list of qubits that its members share."""
+
+    __slots__ = ("of", "multi")
+
+    def __init__(self) -> None:
+        self.of: dict[int, list[int]] = {}
+        self.multi: dict[int, list[int]] = {}  # id -> each component of two qubits or more
+
+    def members(self, q: int) -> list[int]:
+        m = self.of.get(q)
+        if m is None:
+            m = self.of[q] = [q]
+        return m
+
+    def join(self, a: int, b: int) -> None:
+        big, small = self.members(a), self.members(b)
+        if big is small:
+            return
+        if len(big) < len(small):
+            big, small = small, big
+        big.extend(small)
+        for q in small:
+            self.of[q] = big
+        self.multi.pop(id(small), None)
+        self.multi[id(big)] = big
+
+    def isolate(self, q: int) -> None:
+        m = self.members(q)
+        if len(m) > 1:
+            m.remove(q)
+            if len(m) == 1:
+                del self.multi[id(m)]
+            self.of[q] = [q]
+
+
+def _reduce_static(inst, rule: tuple, known: set[int]):
+    """``_reduce`` for any known bit: the op for bit 1 (else bit 0), releasing for both."""
+    release, blocks = rule
+    for q, by_bit in blocks:
+        if q in known:
+            (op0, release0), (op1, release1) = by_bit
+            inst, release = (op1 if op1 is not None else op0), release0 + release1
+            break
+    known.difference_update(release)
+    return inst
 
 
 def _split_rule(ops: list, diagonal: bool) -> tuple[list, list[bool]]:

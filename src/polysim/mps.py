@@ -19,7 +19,10 @@ product viewed as ``(chi_l, 4, chi_r)`` and applies the 4x4 as one broadcast
 rank of its projected matrix, so a measured or reset qubit that the rest of
 the state is not entangled across leaves bonds of 1.
 
-``MpsState`` is the state the shot engine (``polysim.engine``) walks; terminal
+``MpsState`` is the state the shot engine (``polysim.engine``) walks; its
+``price`` bounds each updated bond by the Schmidt rank its qubits'
+components allow, so the engine defers a feed-forward measurement only
+where no bond can pass ``chi_max`` and the run stays exact.  Terminal
 draws are one batched left-to-right sweep with binomial splits (Ferris &
 Vidal, arXiv:1201.3974).  The adaptive loop picks chi from the discarded
 weight of the run itself rather than from a separate check circuit.
@@ -39,6 +42,14 @@ from .result import BackendError, RunResult, counts_by_row
 
 REL_CUTOFF = 1e-14
 DEFAULT_CHI_CAP = 256
+
+# ``MpsState.price`` in units of 0.7 us, the chi^2 slope of a two-site update
+# between bonds of dimension chi: 41, 43, 52, 83 and 220 us at chi = 1, 2, 4,
+# 8 and 16 on a 12-site state (numpy 2.4, OpenBLAS 0.3.31, one thread), so
+# its overhead is about 57 units.  A projection (``p1`` then ``project``)
+# took 41-60 us at chi 2-8, about one update; a one-qubit gate 5-10 us.
+UPDATE_COST = 57
+ONE_SITE_COST = 8
 
 
 def _high_bit_first(m4: np.ndarray) -> np.ndarray:
@@ -69,10 +80,6 @@ class ChiCapError(BackendError):
 
 
 class MpsState:
-    # A deferred measurement would keep its qubit's bond, so the shot engine
-    # keeps its base split rule here (see ``polysim.engine``).
-    defers_through_diagonals = False
-
     def __init__(self, n: int, chi_max: int):
         if n < 1:
             raise ValueError("need at least one site")
@@ -113,6 +120,35 @@ class MpsState:
         dup.center = self.center
         dup.truncation_error = self.truncation_error
         return dup
+
+    @property
+    def cap(self) -> int:
+        """The widest op ``price`` may report for a rule the engine takes: ``chi_max``."""
+        return self.chi_max
+
+    def price(self, inst, parts) -> tuple[float, int]:
+        """An op's static cost and width for the shot engine's rule choice.
+
+        ``parts`` holds the components of the qubits before the op (see
+        ``polysim.engine.price``).  While nothing truncates, the state is a
+        product over them, so the Schmidt rank across a bond is at most
+        ``prod_C 2**min(|C & left|, |C & right|)`` (Vidal,
+        arXiv:quant-ph/0301063).  A two-qubit op costs ``UPDATE_COST + r**2``
+        for each two-site update it makes, ``r`` that bound on the updated
+        bond, swap chains included, and its width is the largest ``r``.  A
+        projection costs one update, a one-qubit gate ``ONE_SITE_COST``.
+        """
+        if len(inst.qubits) == 1:
+            return (ONE_SITE_COST if inst.kind in ONE_QUBIT_GATES else UPDATE_COST), 1
+        lo, hi = sorted(inst.qubits)
+        before = list(parts.multi.values())
+        a, b = parts.members(lo), parts.members(hi)
+        merged = a if a is b else a + b
+        after = [g for g in before if g is not a and g is not b] + [merged]
+        # swaps bring qubit hi down to site lo + 1, the gate joins, swaps take it back
+        logs = [_log_rank(before, j - 1, hi) for j in range(hi - 1, lo, -1)]
+        logs += [_log_rank(after, j) for j in range(lo, hi)]
+        return sum(UPDATE_COST + 4**r for r in logs), 2 ** max(logs)
 
     # --- canonical form ------------------------------------------------------
 
@@ -325,6 +361,15 @@ class MpsState:
         measured = bits[:, qubits]  # a copy: fancy indexing
         del bits  # free the full matrix before the keys are built
         return counts_by_row(measured, counts)
+
+
+def _log_rank(groups, bond: int, moved: int = -1) -> int:
+    """log2 of the rank bound across ``bond``, with the sites up to it and qubit ``moved`` on the left."""
+    total = 0
+    for g in groups:
+        left = sum(1 for q in g if q <= bond or q == moved)
+        total += min(left, len(g) - left)
+    return total
 
 
 def run(c: Circuit, shots: int, seed: int, chi_max: int) -> RunResult:

@@ -4,7 +4,10 @@ Every qubit starts in its own single-qubit state vector.  Two-qubit gates
 merge the owning blocks (tensor product, qubit list re-sorted, amplitudes
 permuted), so a block always covers exactly the qubits that have actually
 interacted.  A measurement that splits shots projects its block and factors
-the qubit back out into a singleton, shrinking the live dimension.  The
+the qubit back out into a singleton, shrinking the live dimension; a
+deferred one keeps its qubit in the block, so the shot engine defers a
+feed-forward measurement only where ``PBlockState.price`` finds it cheaper
+and its blocks stay within the qubit cap.  The
 distributed variant places qubits on virtual QPUs via the partitioner and
 realizes cross-QPU cx gates with a telegate gadget over per-link
 communication qubit pairs; a gate whose control the shot engine knows to be
@@ -32,6 +35,15 @@ from .engine import run_shots
 from .features import extract_features  # noqa: F401  (module attribute wrapped by perfbench)
 from .partition import PartitionPlan, VqpuLayout, partition_circuit
 from .result import BackendError, QubitCapError, RunResult, sample_measurement_groups
+
+
+# ``PBlockState.price`` in units of one amplitude of a dense one-qubit kernel
+# (7.6 ns), whose overhead is about 6.9 us, i.e. 900 amplitudes: blocks of 4
+# to 65536 amplitudes, numpy 2.4, OpenBLAS 0.3.31, one thread.  A telegate
+# gadget took 163-294 us on blocks up to 4096 amplitudes, about 20 such
+# overheads, and 3.3 times a local cx with its merge on 2^18 amplitudes.
+OP_COST = 900
+GADGET_COST = 20 * OP_COST
 
 
 def reorder_qubits(state: np.ndarray, current: list[int], target: list[int]) -> np.ndarray:
@@ -69,11 +81,8 @@ class PBlockState:
     the state its one-qubit block instead (see ``polysim.engine``).  ``peak`` is the
     largest block among each applied gate's qubits; since a block grows only
     when a gate merges its own qubits, that is the largest block the state
-    has held between engine ops.  A deferred measurement would keep its qubit in its block, so
-    the shot engine keeps its base split rule here (see ``polysim.engine``).
+    has held between engine ops.
     """
-
-    defers_through_diagonals = False
 
     def __init__(self, n: int, program: _DistProgram | None = None, rng=None, gadgets=None):
         self.n = n
@@ -86,6 +95,33 @@ class PBlockState:
             state = np.zeros(2, dtype=complex)
             state[0] = 1.0
             self.block_of[q] = Block([q], state)
+
+    @property
+    def cap(self) -> int:
+        """The widest op ``price`` may report for a rule the engine takes: a block at the qubit cap."""
+        return 1 << statevector.QUBIT_CAP
+
+    def price(self, inst, parts) -> tuple[float, int]:
+        """An op's static cost and width for the shot engine's rule choice.
+
+        The width is the amplitudes of the block the op acts on, its
+        qubits' components of ``parts`` joined (see ``polysim.engine.price``),
+        and the cost is ``OP_COST`` plus the width.  A gate across vQPUs runs
+        as telegate gadgets: ``GADGET_COST`` and four times the width each,
+        and its width counts the two comm qubits the gadget adds.
+        """
+        members = parts.members(inst.qubits[0])
+        size = len(members)
+        if len(inst.qubits) == 2:
+            qa, qb = inst.qubits
+            other = parts.members(qb)
+            if other is not members:
+                size += len(other)
+            p = self.program
+            if p is not None and p.vqpu_of[qa] != p.vqpu_of[qb]:
+                gadgets = 3 if inst.kind == "swap" else 1
+                return gadgets * (GADGET_COST + (4 << size)), 4 << size
+        return OP_COST + (1 << size), 1 << size
 
     def blocks(self) -> list[Block]:
         """Distinct blocks, ordered by their lowest qubit."""

@@ -433,11 +433,12 @@ def project(amps: np.ndarray, q: int, bit: int) -> None:
 class SvState:
     """A dense state as the shot engine walks it.
 
-    Its cost does not grow with entanglement, so it takes the engine's
-    diagonal rule: feed-forward corrections do not split the walk.
+    Every kernel spans all ``2**n`` amplitudes under either split rule, so
+    it has no ``price``: the engine takes the diagonal rule, and
+    feed-forward corrections do not split the walk.
     """
 
-    defers_through_diagonals = True
+    price = None
 
     def __init__(self, amps: np.ndarray, n: int):
         self.amps = amps

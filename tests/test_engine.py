@@ -99,6 +99,21 @@ def teleport_chain(hops: int) -> Circuit:
     return c
 
 
+def fan_out(n: int) -> Circuit:
+    """q0 is measured, then controls a cx on every other qubit.
+
+    Deferring the measurement would entangle all n qubits in one block and
+    across every MPS bond; splitting it leaves each cx an x or nothing.
+    """
+    c = Circuit(n, n)
+    c.gate("h", 0)
+    c.measure(0, 0)
+    for q in range(1, n):
+        c.gate("cx", 0, q)
+    c.measure_all()
+    return c
+
+
 CASES = {
     "deferred": deferred_measure,
     "gate-after-measure": gate_after_measure,
@@ -251,10 +266,12 @@ def test_paths_count_walks(backend):
     ghz.gate("h", 0).gate("cx", 0, 1).gate("cx", 1, 2)
     ghz.measure_all()
     assert RUNNERS[backend](ghz, 80, 3).metadata["paths"] == 1
-    paths = RUNNERS[backend](teleport_chain(3), 80, 3).metadata["paths"]
+    # every backend defers the six fair measurements of a short chain
+    assert RUNNERS[backend](teleport_chain(3), 80, 3).metadata["paths"] == 1
+    paths = RUNNERS[backend](fan_out(16), 80, 3).metadata["paths"]
     if backend == "sv":
         assert paths == 1
-    else:  # mps and pblock split at every one of the six fair measurements
+    else:  # the price keeps mps and pblock on the base rule: the measurement splits
         assert 1 < paths <= 80
 
 
@@ -349,13 +366,23 @@ def test_schedule_leaves_walks_unchanged(backend, monkeypatch):
     assert max(program_order) > 1
 
 
+# Teleport chains that the price keeps on the base rule: on mps at chi 2 the
+# deferred chain's bonds (rank bound 4) would pass the cap; on pblock eleven
+# deferred hops would make one block of 23 qubits.
+BASE_RULE_CHAINS = {
+    "mps": (7, lambda c, shots, seed: mps.run(c, shots, seed, chi_max=2)),
+    "pblock": (11, RUNNERS["pblock"]),
+}
+
+
 @pytest.mark.parametrize("backend", ["mps", "pblock"])
 def test_teleport_bell_pairs_are_prepared_once(backend, monkeypatch):
-    c = teleport_chain(7)
-    src, a, b = 12, 13, 14  # the last hop
+    hops, run = BASE_RULE_CHAINS[backend]
+    c = teleport_chain(hops)
+    src, a, b = 2 * hops - 2, 2 * hops - 1, 2 * hops  # the last hop
     bell = [
         next(inst for inst in c.instructions if inst.kind == "cx" and inst.qubits == (2 * h + 1, 2 * h + 2))
-        for h in range(7)
+        for h in range(hops)
     ]
     hop = next(inst for inst in c.instructions if inst.qubits == (src, a))
     corrections = [inst for inst in c.instructions[c.instructions.index(hop):] if inst.kind in ("cx", "cz")][1:]
@@ -387,9 +414,9 @@ def test_teleport_bell_pairs_are_prepared_once(backend, monkeypatch):
     monkeypatch.setattr(state_class, "apply", counted)
     monkeypatch.setattr(state_class, "project", traced_project)
     monkeypatch.setattr(state_class, "copy", traced_copy)
-    result = RUNNERS[backend](c, 200, 6)
+    result = run(c, 200, 6)
     assert result.metadata["paths"] > 20
-    assert [applied[id(inst)] for inst in bell] == [1] * 7
+    assert [applied[id(inst)] for inst in bell] == [1] * hops
     # after the splits: once per history of the previous hop's measurements
     assert applied[id(hop)] == projects[a - 2] > 1
     # the corrections are classically controlled: only their Pauli blocks run
@@ -400,8 +427,9 @@ def test_teleport_bell_pairs_are_prepared_once(backend, monkeypatch):
 
 def test_schedule_keeps_pblock_blocks(monkeypatch):
     # the next hop's cx may not move ahead of the resets that factor the
-    # measured qubits out of the block it joins
-    c = teleport_chain(4)
+    # measured qubits out of the block it joins; the price keeps this chain
+    # on the base rule (BASE_RULE_CHAINS)
+    c = teleport_chain(11)
     scheduled = pblock.run(c, 200, 3).metadata["max_block_dim"]
     monkeypatch.setattr(engine, "schedule", lambda ops, splits: (ops, splits))
     assert scheduled == pblock.run(c, 200, 3).metadata["max_block_dim"] == 8
@@ -495,7 +523,7 @@ def test_feed_forward_from_known_qubits_runs_as_one_qubit_gates(rng, monkeypatch
 
 
 def test_distributed_teleport_runs_gadgets_for_quantum_controlled_gates_only(monkeypatch):
-    c = teleport_chain(4)
+    c = teleport_chain(11)  # kept on the base rule by the price, as on pblock
     layout = VqpuLayout(2, (c.n_qubits + 1) // 2)
     program = pblock._build_program(c, layout)
     remapped = program.remapped.instructions
@@ -537,3 +565,135 @@ def test_distributed_teleport_runs_gadgets_for_quantum_controlled_gates_only(mon
     assert [ids[id(remapped[k])] for k in sorted(classical)] == [0] * len(classical)
     assert gadgets == [inst.qubits for inst in applied if crosses(inst)]
     assert len(result.metadata["gadgets"]) == len(gadgets) > len(once.metadata["gadgets"])
+
+
+def test_deferred_mps_teleport_walks_once_without_truncation():
+    # a deferred chain's bonds carry rank at most 4, so chi 4 holds it exactly
+    result = mps.run(teleport_chain(7), 200, 6, chi_max=4)
+    assert result.metadata["paths"] == 1
+    assert result.metadata["truncation_error"] == 0.0
+    assert mps.run(teleport_chain(7), 200, 6, chi_max=2).metadata["paths"] > 1  # past the cap
+    c = teleport_chain(2)
+    result = mps.run(c, 4000, 7, chi_max=4)
+    assert (result.metadata["paths"], result.metadata["truncation_error"]) == (1, 0.0)
+    assert chisquare_pvalue(result.counts, oracle_distribution(c), 4000) > 1e-3
+
+
+def test_every_deferred_mps_run_is_exact(rng, monkeypatch):
+    plan, deferred = engine._plan, []
+
+    def recorded(state, ops, splits, shots, rules):
+        out = plan(state, ops, splits, shots, rules)
+        deferred.append(sum(out[1]) < sum(splits))
+        return out
+
+    monkeypatch.setattr(engine, "_plan", recorded)
+    circuits = [feed_forward_circuit(rng) for _ in range(30)]
+    runs = [(c, chi) for c in circuits for chi in (1, 2, 4)]
+    runs += [(teleport_chain(3), 4), (teleport_chain(5), 16)]
+    outcomes = []  # (whether the run deferred, its truncation error)
+    for seed, (c, chi) in enumerate(runs):
+        deferred.clear()
+        error = mps.run(c, 300, seed, chi_max=chi).metadata["truncation_error"]
+        assert len(deferred) == 1  # every circuit here splits under the base rule
+        outcomes.append((deferred[0], error))
+    assert outcomes[-2:] == [(True, 0.0), (True, 0.0)]
+    assert {error for taken, error in outcomes if taken} == {0.0}
+    assert 10 < sum(taken for taken, _ in outcomes) < len(outcomes)
+
+
+def test_pblock_keeps_the_base_rule_where_deferral_makes_one_wide_block(monkeypatch):
+    # ten deferred hops would merge ten Bell pairs into one block of 2^21 amplitudes
+    result = pblock.run(teleport_chain(10), 80, 3)
+    assert result.metadata["paths"] > 1
+    assert result.metadata["max_block_dim"] == 8
+    # four hops at 300 shots defer into one block of nine qubits, unless it passes the cap
+    result = pblock.run(teleport_chain(4), 300, 3)
+    assert (result.metadata["paths"], result.metadata["max_block_dim"]) == (1, 512)
+    monkeypatch.setattr(statevector, "QUBIT_CAP", 8)
+    for run in (pblock.run, RUNNERS["pblock-dist"]):
+        result = run(teleport_chain(4), 300, 3)
+        assert result.metadata["paths"] > 1
+        assert result.metadata["max_block_dim"] == 8
+    # five hops defer into eleven qubits; a gadget on that block adds two comm qubits
+    monkeypatch.setattr(statevector, "QUBIT_CAP", 12)
+    result = pblock.run(teleport_chain(5), 300, 3)
+    assert (result.metadata["paths"], result.metadata["max_block_dim"]) == (1, 2048)
+    result = RUNNERS["pblock-dist"](teleport_chain(5), 300, 3)
+    assert result.metadata["paths"] > 1
+    assert result.metadata["max_block_dim"] == 8
+
+
+def test_price_width_is_the_max_block_dim_of_either_rule(rng, monkeypatch):
+    for trial in range(20):
+        c = feed_forward_circuit(rng)
+        ops, base = engine._split_rule(list(c.instructions), diagonal=False)
+        diagonal = engine._split_rule(ops, diagonal=True)[1]
+        assert True in base
+        for splits in (base, diagonal):
+            planned = engine.schedule(ops, splits) if True in splits else (ops, splits)
+            width = engine.price(pblock.PBlockState(c.n_qubits), *planned, 300)[1]
+            monkeypatch.setattr(engine, "_plan", lambda *args, planned=planned: planned)
+            assert pblock.run(c, 300, trial).metadata["max_block_dim"] == max(width, 2), trial
+
+
+def test_price_counts_each_op_once_per_walk_bound():
+    class Tally:  # every op costs 1; its width is its first qubit's component
+        def price(self, inst, parts):
+            return 1.0, len(parts.members(inst.qubits[0]))
+
+    c = Circuit(3, 3)
+    c.gate("h", 0).gate("cx", 0, 1)
+    c.measure(0, 0)  # splits: 2 walks
+    c.gate("cx", 0, 2)  # q0 is known: x or nothing on q2, joining nothing
+    c.append(Instruction("reset", (0,)))  # splits on a known qubit: no draw, free
+    c.gate("h", 0)
+    c.measure(1, 1)  # splits: min(3 shots, 4) walks
+    c.gate("h", 1)
+    c.measure_all()  # deferred: free
+    ops, splits = engine._split_rule(list(c.instructions), diagonal=False)
+    assert splits.count(True) == 3
+    assert engine.price(Tally(), ops, splits, 3) == (1 + 1 + 2 + 2 + 2 + 3 + 3, 2)
+    assert engine.price(Tally(), ops, splits, 3, limit=4)[0] == 4  # stops once the limit is reached
+
+
+def test_mps_price_bounds_every_bond_an_op_updates(rng, monkeypatch):
+    dims = []
+    update = mps.MpsState.apply_two_site
+
+    def recorded(self, left, m4):
+        update(self, left, m4)
+        dims.append(self.tensors[left].shape[2])
+
+    monkeypatch.setattr(mps.MpsState, "apply_two_site", recorded)
+    # Bell pairs (0, 4) and (3, 5): the swap that brings q3 next to q0
+    # crosses both, so a bond of that chain carries rank 4, where the
+    # gate's own bond and the swaps back carry 2.  With the pair (1, 2)
+    # instead, the first swap back carries 4 and the rest 2.
+    circuits = []
+    for pairs, singles in ((((0, 4), (3, 5)), ()), (((1, 2),), (0, 3))):
+        c = Circuit(6)
+        for q in singles:
+            c.gate("h", q)
+        for a, b in pairs:
+            c.gate("h", a).gate("cx", a, b)
+        circuits.append((c, Instruction("cz", (0, 3))))
+    for _ in range(40):
+        c = random_circuit(6, int(rng.integers(2, 25)), rng, measured=False)
+        a, b = (int(q) for q in rng.choice(6, size=2, replace=False))
+        circuits.append((c, Instruction("cx", (a, b))))
+    last_ops = []  # (priced width, largest bond made) of each circuit's last op
+    for c, last in circuits:
+        state, parts = mps.MpsState(6, 64), engine._Parts()
+        for inst in [*c.instructions, last]:
+            if inst.kind == "barrier":
+                continue
+            width = state.price(inst, parts)[1]
+            dims.clear()
+            state.apply(inst)
+            assert max(dims, default=1) <= width
+            if len(inst.qubits) == 2:
+                parts.join(*inst.qubits)
+        last_ops.append((width, max(dims)))
+    assert last_ops[:2] == [(4, 4), (4, 4)]
+    assert max(last_ops) > (4, 4)

@@ -231,7 +231,8 @@ def test_every_gadget_leaves_its_comm_qubits_alone_in_zero(rng, monkeypatch):
         seen.append(comm)
 
     monkeypatch.setattr(pblock, "_gadget_cx", checked)
-    circuits = [teleport_chain(4)] + [mid_circuit(rng) for _ in range(30)]
+    # a chain that the price keeps on the base rule, so it walks many times
+    circuits = [teleport_chain(11)] + [mid_circuit(rng) for _ in range(30)]
     circuits += [random_circuit(6, 30, rng) for _ in range(10)]
     for trial, c in enumerate(circuits):
         before = len(seen)
