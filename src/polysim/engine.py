@@ -86,9 +86,10 @@ schedule.
 A backend hands the engine a state object with
 
 * ``price(inst, parts)``: the static ``(cost, width)`` of one run of an
-  op, given ``parts``, the components before it (``price`` below), or None
+  op, given ``parts``, the components before it (see ``price``), or None
   for a state whose ops cost the same under either split rule (above);
-* ``cap``, with a ``price``: the widest op a rule may have to be taken;
+* ``cap``, beside a ``price``: the largest width a rule's ops may have for
+  the engine to take it;
 * ``copy()``: an independent copy;
 * ``apply(inst)``: apply one gate, which may be a one-qubit op the engine
   put in place of a two-qubit gate with a known qubit (above); barriers
