@@ -43,12 +43,12 @@ the diagonal rule.  Otherwise ``price`` walks each rule's scheduled ops
 once, without amplitudes, keeping the components that the walk's state
 will be a product over and which qubits are known (below).  Each op costs
 its walk bound ``min(shots, 2**s)``, after ``s`` splits, times what the
-state's ``price`` gives for it: an overhead plus a width that grows with
+state's ``price`` gives for it: an overhead plus a term that grows with
 its component, a pblock block's amplitudes or an MPS bond's Schmidt-rank
-bound.  The diagonal rule is taken when it is cheaper and none of its
-widths passes the state's ``cap`` (``statevector.QUBIT_CAP`` qubits for a
-pblock block, ``chi_max`` for an MPS bond), so a deferred MPS run never
-truncates and a deferred block never passes the qubit cap.
+bound squared.  An op whose block passes ``statevector.QUBIT_CAP`` qubits,
+or whose bond bound passes ``chi_max``, costs ``math.inf``.  The diagonal
+rule is taken when its cost is finite and lower, so a deferred MPS run
+never truncates and a deferred block never passes the qubit cap.
 
 Known basis values.  A split leaves its qubit in a basis state on each
 walk: the measured bit, or 0 after a reset.  The walk keeps these values in
@@ -85,11 +85,10 @@ schedule.
 
 A backend hands the engine a state object with
 
-* ``price(inst, parts)``: the static ``(cost, width)`` of one run of an
-  op, given ``parts``, the components before it (see ``price``), or None
-  for a state whose ops cost the same under either split rule (above);
-* ``cap``, beside a ``price``: the largest width a rule's ops may have for
-  the engine to take it;
+* ``price(inst, parts)``: the static cost of one run of an op, given
+  ``parts``, the components before it (see ``price``), and ``math.inf``
+  where the op would pass the state's cap; or None for a state whose ops
+  cost the same under either split rule (above);
 * ``copy()``: an independent copy;
 * ``apply(inst)``: apply one gate, which may be a one-qubit op the engine
   put in place of a two-qubit gate with a known qubit (above); barriers
@@ -261,9 +260,8 @@ def _plan(state, ops: list, splits: list[bool], shots: int, rules: dict) -> tupl
     """The scheduled ops and split flags of the split rule the walk takes.
 
     ``splits`` are the base rule's.  The diagonal rule is taken when the
-    state has no ``price``, or when its price is lower and none of its ops
-    passes the state's ``cap``.  Where both rules split the same ops,
-    neither is priced.
+    state has no ``price``, or when its price is finite and lower.  Where
+    both rules split the same ops, neither is priced.
     """
     diagonal = _split_rule(ops, diagonal=True)[1]  # drops nothing more: same positions
     if diagonal == splits:
@@ -271,17 +269,17 @@ def _plan(state, ops: list, splits: list[bool], shots: int, rules: dict) -> tupl
     deferred = schedule(ops, diagonal) if True in diagonal else (ops, diagonal)
     if state.price is None:
         return deferred
-    cost, widest = price(state, *deferred, shots, rules)
+    cost = price(state, *deferred, shots, rules)
     base = schedule(ops, splits)
-    if widest <= state.cap and cost < price(state, *base, shots, rules, limit=cost)[0]:
+    if cost < math.inf and cost < price(state, *base, shots, rules, limit=cost):
         return deferred
     return base
 
 
 def price(
     state, ops: list, splits: list[bool], shots: int, rules: dict | None = None, limit: float = math.inf
-) -> tuple[float, int]:
-    """The static price of walking scheduled ops, and the widest op: ``(cost, width)``.
+) -> float:
+    """The static price of walking scheduled ops.
 
     One forward pass keeps, without amplitudes, what the walk will see:
     the components (qubits that have interacted since their last split;
@@ -290,23 +288,28 @@ def price(
     such splits runs on at most ``min(shots, 2**s)`` walks, and each run
     costs what ``state.price`` gives for it.  Where a reduced gate's release
     depends on the known bit, the pass releases for either bit, so its
-    widths never fall below the walk's.  Deferred measurements cost
+    components never fall below the walk's.  Deferred measurements cost
     nothing here, and neither do the copies and terminal draws, which grow
     with the walks, so the estimate leans toward the base rule.  The pass
-    stops once the cost reaches ``limit``.
+    stops once the cost reaches ``limit``, and so at the first op that
+    passes the state's cap.
+
+    These components are not ``schedule``'s: there a gate reduced on a
+    known qubit still joins, since the ops after it on its other qubit
+    depend on the split that made the bit known.
     """
     rules = {} if rules is None else rules
     parts = _Parts()
     known: set[int] = set()
     walks = 1
-    cost, widest = 0.0, 0
+    cost = 0.0
     for inst, split in zip(ops, splits):
         if split:
             q = inst.qubits[0]
             if q in known:  # a recorded bit or an x: no draw, no projection
                 continue
             walks = min(shots, 2 * walks)
-            op_cost, width = state.price(inst, parts)
+            op_cost = state.price(inst, parts)
             parts.isolate(q)
             known.add(q)
         elif inst.kind == "measure":
@@ -319,14 +322,13 @@ def price(
                 inst = _reduce_static(inst, rule, known)
                 if inst is None:
                     continue
-            op_cost, width = state.price(inst, parts)
+            op_cost = state.price(inst, parts)
             if len(inst.qubits) == 2:
                 parts.join(*inst.qubits)
         cost += walks * op_cost
-        widest = max(widest, width)
         if cost >= limit:
             break
-    return cost, widest
+    return cost
 
 
 class _Parts:

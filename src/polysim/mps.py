@@ -121,25 +121,20 @@ class MpsState:
         dup.truncation_error = self.truncation_error
         return dup
 
-    @property
-    def cap(self) -> int:
-        """The widest op ``price`` may report for a rule the engine takes: ``chi_max``."""
-        return self.chi_max
-
-    def price(self, inst, parts) -> tuple[float, int]:
-        """An op's static cost and width for the shot engine's rule choice.
+    def price(self, inst, parts) -> float:
+        """An op's static cost for the shot engine's rule choice.
 
         ``parts`` holds the components of the qubits before the op (see
         ``polysim.engine.price``).  While nothing truncates, the state is a
         product over them, so the Schmidt rank across a bond is at most
-        ``prod_C 2**min(|C & left|, |C & right|)`` (Vidal,
+        ``r = prod_C 2**min(|C & left|, |C & right|)`` (Vidal,
         arXiv:quant-ph/0301063).  A two-qubit op costs ``UPDATE_COST + r**2``
-        for each two-site update it makes, ``r`` that bound on the updated
-        bond, swap chains included, and its width is the largest ``r``.  A
+        for each two-site update it makes, swap chains included, and
+        ``math.inf`` when ``r`` passes ``chi_max`` on any updated bond.  A
         projection costs one update, a one-qubit gate ``ONE_SITE_COST``.
         """
         if len(inst.qubits) == 1:
-            return (ONE_SITE_COST if inst.kind in ONE_QUBIT_GATES else UPDATE_COST), 1
+            return ONE_SITE_COST if inst.kind in ONE_QUBIT_GATES else UPDATE_COST
         lo, hi = sorted(inst.qubits)
         before = list(parts.multi.values())
         a, b = parts.members(lo), parts.members(hi)
@@ -148,7 +143,9 @@ class MpsState:
         # swaps bring qubit hi down to site lo + 1, the gate joins, swaps take it back
         logs = [_log_rank(before, j - 1, hi) for j in range(hi - 1, lo, -1)]
         logs += [_log_rank(after, j) for j in range(lo, hi)]
-        return sum(UPDATE_COST + 4**r for r in logs), 2 ** max(logs)
+        if 2 ** max(logs) > self.chi_max:
+            return math.inf
+        return sum(UPDATE_COST + 4**r for r in logs)
 
     # --- canonical form ------------------------------------------------------
 

@@ -24,6 +24,7 @@ communication qubits included: a merge past the cap raises
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -37,13 +38,16 @@ from .partition import PartitionPlan, VqpuLayout, partition_circuit
 from .result import BackendError, QubitCapError, RunResult, sample_measurement_groups
 
 
-# ``PBlockState.price`` in units of one amplitude of a dense one-qubit kernel
-# (7.6 ns), whose overhead is about 6.9 us, i.e. 900 amplitudes: blocks of 4
-# to 65536 amplitudes, numpy 2.4, OpenBLAS 0.3.31, one thread.  A telegate
-# gadget took 163-294 us on blocks up to 4096 amplitudes, about 20 such
-# overheads, and 3.3 times a local cx with its merge on 2^18 amplitudes.
-OP_COST = 900
-GADGET_COST = 20 * OP_COST
+# ``PBlockState.price`` in units of what a walk spends per amplitude of an
+# op's block.  Fitted end to end on runs with each split rule forced
+# (teleport chains of 3-11 hops and fan-outs of 8-16 qubits, at 80 and 200
+# shots; numpy 2.4, OpenBLAS 0.3.31, one thread), a walk took about 13-15 us
+# per op run plus 3.6-4.8 ns per amplitude, so an op's overhead is worth
+# about 3700 amplitudes, and a telegate gadget took about 80 us, some 6 such
+# overheads.  A bare dense kernel's overhead (6.9 us) would leave out the
+# engine's own work per op.
+OP_COST = 3700
+GADGET_COST = 6 * OP_COST
 
 
 def reorder_qubits(state: np.ndarray, current: list[int], target: list[int]) -> np.ndarray:
@@ -96,22 +100,19 @@ class PBlockState:
             state[0] = 1.0
             self.block_of[q] = Block([q], state)
 
-    @property
-    def cap(self) -> int:
-        """The widest op ``price`` may report for a rule the engine takes: a block at the qubit cap."""
-        return 1 << statevector.QUBIT_CAP
+    def price(self, inst, parts) -> float:
+        """An op's static cost for the shot engine's rule choice.
 
-    def price(self, inst, parts) -> tuple[float, int]:
-        """An op's static cost and width for the shot engine's rule choice.
-
-        The width is the amplitudes of the block the op acts on, its
-        qubits' components of ``parts`` joined (see ``polysim.engine.price``),
-        and the cost is ``OP_COST`` plus the width.  A gate across vQPUs runs
-        as telegate gadgets: ``GADGET_COST`` and four times the width each,
-        and its width counts the two comm qubits the gadget adds.
+        The op acts on one block: its qubits' components of ``parts`` (see
+        ``polysim.engine.price``) joined.  It costs ``OP_COST`` plus the
+        block's amplitudes.  A gate across vQPUs runs as telegate gadgets,
+        each ``GADGET_COST`` plus the amplitudes of the block with the two
+        comm qubits it adds.  A block past ``statevector.QUBIT_CAP`` qubits
+        costs ``math.inf``.
         """
         members = parts.members(inst.qubits[0])
         size = len(members)
+        gadgets = 0
         if len(inst.qubits) == 2:
             qa, qb = inst.qubits
             other = parts.members(qb)
@@ -120,8 +121,12 @@ class PBlockState:
             p = self.program
             if p is not None and p.vqpu_of[qa] != p.vqpu_of[qb]:
                 gadgets = 3 if inst.kind == "swap" else 1
-                return gadgets * (GADGET_COST + (4 << size)), 4 << size
-        return OP_COST + (1 << size), 1 << size
+                size += 2
+        if size > statevector.QUBIT_CAP:
+            return math.inf
+        if gadgets:
+            return gadgets * (GADGET_COST + (1 << size))
+        return OP_COST + (1 << size)
 
     def blocks(self) -> list[Block]:
         """Distinct blocks, ordered by their lowest qubit."""

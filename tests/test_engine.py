@@ -1,4 +1,5 @@
 """The shot engine shared by sv, mps and pblock: exact laws, seeding and cost."""
+import math
 from collections import Counter
 
 import numpy as np
@@ -427,9 +428,10 @@ def test_teleport_bell_pairs_are_prepared_once(backend, monkeypatch):
 
 def test_schedule_keeps_pblock_blocks(monkeypatch):
     # the next hop's cx may not move ahead of the resets that factor the
-    # measured qubits out of the block it joins; the price keeps this chain
-    # on the base rule (BASE_RULE_CHAINS)
-    c = teleport_chain(11)
+    # measured qubits out of the block it joins; the base rule is forced, so
+    # the price sees neither order
+    monkeypatch.setattr(engine, "_plan", lambda state, ops, splits, shots, rules: engine.schedule(ops, splits))
+    c = teleport_chain(4)
     scheduled = pblock.run(c, 200, 3).metadata["max_block_dim"]
     monkeypatch.setattr(engine, "schedule", lambda ops, splits: (ops, splits))
     assert scheduled == pblock.run(c, 200, 3).metadata["max_block_dim"] == 8
@@ -603,10 +605,14 @@ def test_every_deferred_mps_run_is_exact(rng, monkeypatch):
 
 
 def test_pblock_keeps_the_base_rule_where_deferral_makes_one_wide_block(monkeypatch):
-    # ten deferred hops would merge ten Bell pairs into one block of 2^21 amplitudes
-    result = pblock.run(teleport_chain(10), 80, 3)
-    assert result.metadata["paths"] > 1
-    assert result.metadata["max_block_dim"] == 8
+    # eleven deferred hops would merge eleven Bell pairs into one block of 2^23 amplitudes
+    for run in (pblock.run, RUNNERS["pblock-dist"]):
+        result = run(teleport_chain(11), 80, 3)
+        assert result.metadata["paths"] > 1
+        assert result.metadata["max_block_dim"] == 8
+    # ten hops make a block of 2^21, and walking it once beats 200 walks of small blocks
+    result = pblock.run(teleport_chain(10), 200, 3)
+    assert (result.metadata["paths"], result.metadata["max_block_dim"]) == (1, 1 << 21)
     # four hops at 300 shots defer into one block of nine qubits, unless it passes the cap
     result = pblock.run(teleport_chain(4), 300, 3)
     assert (result.metadata["paths"], result.metadata["max_block_dim"]) == (1, 512)
@@ -624,7 +630,8 @@ def test_pblock_keeps_the_base_rule_where_deferral_makes_one_wide_block(monkeypa
     assert result.metadata["max_block_dim"] == 8
 
 
-def test_price_width_is_the_max_block_dim_of_either_rule(rng, monkeypatch):
+def test_price_caps_blocks_at_the_max_block_dim_of_either_rule(rng, monkeypatch):
+    # the pass prices every op exactly when the qubit cap holds the widest block a run makes
     for trial in range(20):
         c = feed_forward_circuit(rng)
         ops, base = engine._split_rule(list(c.instructions), diagonal=False)
@@ -632,15 +639,24 @@ def test_price_width_is_the_max_block_dim_of_either_rule(rng, monkeypatch):
         assert True in base
         for splits in (base, diagonal):
             planned = engine.schedule(ops, splits) if True in splits else (ops, splits)
-            width = engine.price(pblock.PBlockState(c.n_qubits), *planned, 300)[1]
-            monkeypatch.setattr(engine, "_plan", lambda *args, planned=planned: planned)
-            assert pblock.run(c, 300, trial).metadata["max_block_dim"] == max(width, 2), trial
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_plan", lambda *args, planned=planned: planned)
+                widest = pblock.run(c, 300, trial).metadata["max_block_dim"]
+            qubits = widest.bit_length() - 1
+            for cap, finite in ((qubits, True), (qubits - 1, False)):
+                with monkeypatch.context() as m:
+                    m.setattr(statevector, "QUBIT_CAP", cap)
+                    cost = engine.price(pblock.PBlockState(c.n_qubits), *planned, 300)
+                assert (cost < math.inf) == finite, (trial, cap)
 
 
 def test_price_counts_each_op_once_per_walk_bound():
-    class Tally:  # every op costs 1; its width is its first qubit's component
+    class Tally:  # every op costs 1, and inf where its first qubit's component passes 2
+        calls = 0
+
         def price(self, inst, parts):
-            return 1.0, len(parts.members(inst.qubits[0]))
+            self.calls += 1
+            return 1.0 if len(parts.members(inst.qubits[0])) <= 2 else math.inf
 
     c = Circuit(3, 3)
     c.gate("h", 0).gate("cx", 0, 1)
@@ -653,8 +669,15 @@ def test_price_counts_each_op_once_per_walk_bound():
     c.measure_all()  # deferred: free
     ops, splits = engine._split_rule(list(c.instructions), diagonal=False)
     assert splits.count(True) == 3
-    assert engine.price(Tally(), ops, splits, 3) == (1 + 1 + 2 + 2 + 2 + 3 + 3, 2)
-    assert engine.price(Tally(), ops, splits, 3, limit=4)[0] == 4  # stops once the limit is reached
+    assert engine.price(Tally(), ops, splits, 3) == 1 + 1 + 2 + 2 + 2 + 3 + 3
+    assert engine.price(Tally(), ops, splits, 3, limit=4) == 4  # stops once the limit is reached
+    # the h meets a component of three qubits: the pass stops there, at inf
+    wide = Circuit(3, 3)
+    wide.gate("cx", 0, 1).gate("cx", 1, 2).gate("h", 0).gate("h", 1)
+    wide.measure_all()
+    tally = Tally()
+    assert engine.price(tally, list(wide.instructions), [False] * 7, 3) == math.inf
+    assert tally.calls == 3
 
 
 def test_mps_price_bounds_every_bond_an_op_updates(rng, monkeypatch):
@@ -682,13 +705,21 @@ def test_mps_price_bounds_every_bond_an_op_updates(rng, monkeypatch):
         c = random_circuit(6, int(rng.integers(2, 25)), rng, measured=False)
         a, b = (int(q) for q in rng.choice(6, size=2, replace=False))
         circuits.append((c, Instruction("cx", (a, b))))
-    last_ops = []  # (priced width, largest bond made) of each circuit's last op
+    def bound(inst, parts) -> int:
+        """The least chi_max at which ``price`` takes the op: its widest bond bound."""
+        chi = 1
+        while mps.MpsState(6, chi).price(inst, parts) == math.inf:
+            chi *= 2
+        return chi
+
+    last_ops = []  # (priced bond bound, largest bond made) of each circuit's last op
     for c, last in circuits:
         state, parts = mps.MpsState(6, 64), engine._Parts()
         for inst in [*c.instructions, last]:
             if inst.kind == "barrier":
                 continue
-            width = state.price(inst, parts)[1]
+            width = bound(inst, parts)
+            assert mps.MpsState(6, width).price(inst, parts) < math.inf
             dims.clear()
             state.apply(inst)
             assert max(dims, default=1) <= width
